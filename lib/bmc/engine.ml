@@ -155,17 +155,14 @@ let no_hooks =
     mem_distinct = None;
   }
 
-(* Mutable run state threaded through one [check] call. *)
+(* Mutable run state threaded through one depth loop. *)
 type run = {
   cfg : config;
   hks : hooks;
   net : Netlist.t;
   solver : Solver.t;
   unr : Cnf.t;
-  prop : Netlist.signal;
-  prop_name : string;
   act_lfp : Lit.t;
-  act_cp : Lit.t;
   state_latches : Netlist.signal list;
   reasons : (Netlist.signal, unit) Hashtbl.t;
   mem_reasons : (int, unit) Hashtbl.t;
@@ -177,6 +174,15 @@ type run = {
   mutable reasons_last_changed : int;
   mutable solve_time : float;
   mutable encode_time : float;
+}
+
+(* One checked property: its own CP activation literal, retired once it has
+   a verdict. *)
+type prop_state = {
+  ps_name : string;
+  ps_signal : Netlist.signal;
+  ps_act_cp : Lit.t;
+  mutable ps_verdict : verdict option;
 }
 
 (* The solver whose bookkeeping matches the last answer: the portfolio
@@ -254,52 +260,6 @@ let collect_reasons_from_core run =
       | Some (Cnf.Tag.Misc _) | None -> ())
     (Solver.unsat_core_tags (answer_solver run))
 
-let extract_trace run depth =
-  let unr = run.unr in
-  let solver = run.solver in
-  let inputs =
-    Array.init (depth + 1) (fun frame ->
-        List.filter_map
-          (fun s ->
-            match Netlist.node run.net (Netlist.node_of s) with
-            | Netlist.Input name ->
-              Some (name, Solver.value solver (Cnf.lit unr ~frame s))
-            | Netlist.Const_false | Netlist.Latch _ | Netlist.And _
-            | Netlist.Mem_out _ -> None)
-          (Netlist.inputs run.net))
-  in
-  let latch0 =
-    List.filter_map
-      (fun l ->
-        match Netlist.latch_init run.net l with
-        | None ->
-          Some
-            ( Netlist.latch_name run.net l,
-              Solver.value solver (Cnf.lit unr ~frame:0 l) )
-        | Some _ -> None)
-      (Netlist.latches run.net)
-  in
-  let mem_init = run.hks.mem_init_of_model unr depth in
-  let watch =
-    List.filter_map
-      (fun (name, s, enable) ->
-        let complete = ref true in
-        let values =
-          Array.init (depth + 1) (fun frame ->
-              match Cnf.lit_opt unr ~frame s with
-              | Some l -> Solver.value solver l
-              | None ->
-                complete := false;
-                false)
-        in
-        if !complete then
-          Some
-            { Trace.w_name = name; w_signal = s; w_enable = enable; w_values = values }
-        else None)
-      run.watches
-  in
-  { Trace.property = run.prop_name; depth; inputs; latch0; mem_init; watch }
-
 (* Validate every recorded UNSAT answer against the solver's DRAT log with
    the independent checker of [Cert.Drat]. *)
 let certify_unsat run =
@@ -346,53 +306,77 @@ let dump_proof run =
       (fun () -> Cert.Drat.output oc (Solver.proof run.solver))
   | Some _ | None -> ()
 
-(* The certificate for a finished run: UNSAT verdicts (proofs, and bounded /
-   stability results whose every depth answered UNSAT) go through the DRAT
-   checker; counterexamples are replayed on the concrete design. *)
-let certify_verdict run verdict =
-  if not run.cfg.certify then Cert.Unchecked "certification disabled"
+(* The certificates of a finished run, one per property: UNSAT verdicts
+   (proofs, and bounded / stability results whose every depth answered
+   UNSAT) share one DRAT check — every obligation was answered by the same
+   incremental solver over the shared unrolling — and counterexamples are
+   replayed on the concrete design. *)
+let certify_verdicts run verdicts =
+  if not run.cfg.certify then
+    List.map (fun _ -> Cert.Unchecked "certification disabled") verdicts
   else begin
     dump_proof run;
-    match verdict with
-    | Proof _ | Bounded_safe _ | Reasons_stable _ -> certify_unsat run
-    | Counterexample t -> Trace.certify run.net t
-    | Timed_out _ -> Cert.Unchecked "timed out"
-    | Out_of_budget { what; _ } -> Cert.Unchecked ("out of budget: " ^ what)
+    let unsat = lazy (certify_unsat run) in
+    List.map
+      (function
+        | Proof _ | Bounded_safe _ | Reasons_stable _ -> Lazy.force unsat
+        | Counterexample t -> Trace.certify run.net t
+        | Timed_out _ -> Cert.Unchecked "timed out"
+        | Out_of_budget { what; _ } -> Cert.Unchecked ("out of budget: " ^ what))
+      verdicts
   end
 
-exception Done of verdict
+(* The self-contained evidence behind a DRAT-checked UNSAT verdict —
+   original clauses, derivation and assumption obligations — for layers that
+   persist certificates (lib/vcache) and re-check them independently later.
+   Only for single-instance runs: under a portfolio, obligations are spread
+   over per-instance derivations and no single artifact re-checks them. *)
+let artifact_of run =
+  {
+    ca_num_vars = Solver.num_vars run.solver;
+    ca_original = Solver.export_clauses run.solver;
+    ca_proof = Solver.proof run.solver;
+    ca_obligations = List.rev_map fst run.obligations;
+  }
 
-let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
-  let solver = Solver.create () in
-  let portfolio = make_portfolio config solver in
-  Solver.set_deadline solver config.deadline;
-  Solver.set_conflict_budget solver config.conflict_budget;
-  Solver.set_learnt_budget_mb solver config.learnt_mb_budget;
-  if config.certify then Solver.set_proof_logging solver true;
-  let unr = make_unroller config solver net in
-  let run =
-    {
-      cfg = config;
-      hks = hooks;
-      net;
-      solver;
-      unr;
-      prop = Netlist.find_property net property;
-      prop_name = property;
-      act_lfp = Cnf.fresh_lit unr;
-      act_cp = Cnf.fresh_lit unr;
-      state_latches =
-        List.filter (fun l -> not (config.free_latches l)) (Netlist.latches net);
-      reasons = Hashtbl.create 64;
-      mem_reasons = Hashtbl.create 4;
-      watches = (if config.certify then watch_signals net else []);
-      portfolio;
-      obligations = [];
-      reasons_last_changed = 0;
-      solve_time = 0.0;
-      encode_time = 0.0;
-    }
+let stats_of run ~completed ~cert_time_s =
+  let gc = Gc.quick_stat () in
+  let cnf_stats = Cnf.stats run.unr in
+  (* Under a portfolio, the solver telemetry aggregates all instances: the
+     work the machine actually did, not just the winner's share. *)
+  let sstats =
+    match run.portfolio with
+    | Some p -> Portfolio.merged_stats p
+    | None -> Solver.stats run.solver
   in
+  {
+    depths_completed = completed + 1;
+    solve_time = run.solve_time;
+    encode_time = run.encode_time;
+    cert_time_s;
+    proof_steps = (if run.cfg.certify then List.length (Solver.proof run.solver) else 0);
+    num_vars = Solver.num_vars run.solver;
+    num_clauses = Solver.num_clauses run.solver;
+    num_conflicts = sstats.Solver.conflicts;
+    vars_saved = cnf_stats.Cnf.vars_saved;
+    clauses_saved = cnf_stats.Cnf.clauses_saved;
+    peak_memory_mb = float_of_int (gc.Gc.heap_words * 8) /. 1e6;
+    latch_reasons = Hashtbl.fold (fun l () acc -> l :: acc) run.reasons [];
+    memory_reasons =
+      List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) run.mem_reasons []);
+    reasons_last_changed = run.reasons_last_changed;
+    solver_stats = sstats;
+  }
+
+(* The BMC-3 depth loop (Fig. 1).  At each depth: unroll, add the memory
+   constraints and every pending property's [p_i], then the loop-free-path
+   pairs; query forward termination (settles every pending property at
+   once), backward termination per property, and falsification per
+   property.  A property is retired once it has a verdict; the loop stops
+   when none is pending.  Every exit settles every property.  Returns the
+   deepest fully analysed depth. *)
+let depth_loop run props =
+  let config = run.cfg and unr = run.unr in
   let act_init = Cnf.act_init unr in
   (* When the hooks supply a memory-distinctness predicate, the loop-free-path
      constraints range over the full modeled state (latches plus memory
@@ -407,7 +391,7 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
   let lfp_meaningful =
     run.hks.mem_distinct <> None
     || run.state_latches <> []
-    || List.for_all (fun m -> Netlist.num_write_ports m = 0) (Netlist.memories net)
+    || List.for_all (fun m -> Netlist.num_write_ports m = 0) (Netlist.memories run.net)
   in
   let proof_checks_at i = config.proof_checks && (lfp_meaningful || i = 0) in
   (* In pure falsification mode the property literal only ever appears under
@@ -415,130 +399,93 @@ let check ?(config = default_config) ?(hooks = no_hooks) net ~property =
      drop the downward implications of its cone.  The proof checks also use
      it positively (CP clauses). *)
   let prop_pol = if config.proof_checks then Cnf.Both else Cnf.Neg in
-  let deadline_passed () =
-    match config.deadline with
-    | Some d -> Obs.now () > d
-    | None -> false
+  let settle v =
+    List.iter (fun p -> if p.ps_verdict = None then p.ps_verdict <- Some v) props
   in
   let completed = ref (-1) in
-  let verdict =
-    try
-      for i = 0 to config.max_depth do
-        if deadline_passed () then raise (Done (Timed_out !completed));
-        Obs.span "depth" ~attrs:[ ("k", Obs.Int i) ] (fun () ->
-        let p_i =
-          timed_encode run (fun () ->
-              hooks.on_unroll unr i;
-              (* Watched memory-interface bits must be encoded with full
-                 polarity: a polarity-reduced auxiliary variable's model
-                 value is not faithful to the circuit, which would produce
-                 spurious replay mismatches. *)
-              List.iter
-                (fun (_, s, _) -> ignore (Cnf.lit unr ~frame:i s))
-                run.watches;
-              let p_i = Cnf.lit ~pol:prop_pol unr ~frame:i run.prop in
-              (* Loop-free-path constraints only serve the termination
-                 checks. *)
-              if proof_checks_at i then add_lfp_pairs run i;
-              p_i)
-        in
-        if proof_checks_at i then begin
-          (* Forward termination: no loop-free path of length i from I. *)
-          if timed_solve ~what:"lfp" run [ act_init; run.act_lfp ] = Solver.Unsat then
-            raise (Done (Proof { depth = i; kind = Forward_diameter }));
-          (* Backward termination: property inductive at depth i. *)
+  let depth i =
+    let pending = List.filter (fun p -> p.ps_verdict = None) props in
+    let p_is =
+      timed_encode run (fun () ->
+          run.hks.on_unroll unr i;
+          (* Watched memory-interface bits must be encoded with full
+             polarity: a polarity-reduced auxiliary variable's model value
+             is not faithful to the circuit, which would produce spurious
+             replay mismatches. *)
+          List.iter (fun (_, s, _) -> ignore (Cnf.lit unr ~frame:i s)) run.watches;
+          let p_is =
+            List.map
+              (fun p -> (p, Cnf.lit ~pol:prop_pol unr ~frame:i p.ps_signal))
+              pending
+          in
+          (* Loop-free-path constraints only serve the termination checks. *)
+          if proof_checks_at i then add_lfp_pairs run i;
+          p_is)
+    in
+    if proof_checks_at i then begin
+      (* Forward termination: no loop-free path of length i from I. *)
+      if timed_solve ~what:"lfp" run [ act_init; run.act_lfp ] = Solver.Unsat then begin
+        settle (Proof { depth = i; kind = Forward_diameter });
+        raise Exit
+      end;
+      (* Backward termination: property inductive at depth i. *)
+      List.iter
+        (fun (p, p_i) ->
           if
-            timed_solve ~what:"induction" run
-              [ run.act_lfp; run.act_cp; Lit.negate p_i ]
+            timed_solve ~what:"induction" run [ run.act_lfp; p.ps_act_cp; Lit.negate p_i ]
             = Solver.Unsat
-          then raise (Done (Proof { depth = i; kind = Backward_induction }))
-        end;
-        (* Falsification: counterexample of length exactly i. *)
-        (match timed_solve run [ act_init; Lit.negate p_i ] with
-        | Solver.Sat -> raise (Done (Counterexample (extract_trace run i)))
-        | Solver.Unsat ->
-          if config.collect_reasons then begin
-            let before = Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons in
-            collect_reasons_from_core run;
-            if Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons <> before
-            then run.reasons_last_changed <- i
-          end);
-        completed := i;
-        (* CP_{i+1} = CP_i /\ P_i — only the proof checks assume [act_cp],
-           so in pure falsification mode the clause is dead weight. *)
-        if config.proof_checks then Cnf.add_clause unr [ Lit.negate run.act_cp; p_i ];
-        match config.stop_on_stable with
-        | Some s when config.collect_reasons && i - run.reasons_last_changed >= s ->
-          raise (Done (Reasons_stable i))
-        | Some _ | None -> ())
-      done;
-      Bounded_safe config.max_depth
-    with
-    | Done v -> v
-    | Solver.Timeout -> Timed_out !completed
-    | Solver.Budget_exceeded what -> Out_of_budget { depth = !completed; what }
+          then p.ps_verdict <- Some (Proof { depth = i; kind = Backward_induction }))
+        p_is
+    end;
+    (* Falsification: counterexample of length exactly i. *)
+    List.iter
+      (fun (p, p_i) ->
+        if p.ps_verdict = None then
+          match timed_solve run [ act_init; Lit.negate p_i ] with
+          | Solver.Sat ->
+            let mem_init = run.hks.mem_init_of_model unr i in
+            p.ps_verdict <-
+              Some
+                (Counterexample
+                   (Trace.of_model ~watches:run.watches unr ~property:p.ps_name ~depth:i
+                      ~mem_init))
+          | Solver.Unsat ->
+            if config.collect_reasons then begin
+              let before = Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons in
+              collect_reasons_from_core run;
+              if Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons <> before
+              then run.reasons_last_changed <- i
+            end)
+      p_is;
+    let survivors = List.filter (fun (p, _) -> p.ps_verdict = None) p_is in
+    if survivors = [] then raise Exit;
+    completed := i;
+    (* CP_{i+1} = CP_i /\ P_i — only the proof checks assume [act_cp], so in
+       pure falsification mode the clause is dead weight. *)
+    if config.proof_checks then
+      List.iter
+        (fun (p, p_i) -> Cnf.add_clause unr [ Lit.negate p.ps_act_cp; p_i ])
+        survivors;
+    match config.stop_on_stable with
+    | Some s when config.collect_reasons && i - run.reasons_last_changed >= s ->
+      settle (Reasons_stable i);
+      raise Exit
+    | Some _ | None -> ()
   in
-  let cert_t0 = Obs.now () in
-  let certificate = Obs.span "certify" (fun () -> certify_verdict run verdict) in
-  let cert_time_s = Obs.now () -. cert_t0 in
-  let gc = Gc.quick_stat () in
-  let cnf_stats = Cnf.stats unr in
-  (* Under a portfolio, the solver telemetry aggregates all instances: the
-     work the machine actually did, not just the winner's share. *)
-  let sstats =
-    match run.portfolio with
-    | Some p -> Portfolio.merged_stats p
-    | None -> Solver.stats solver
-  in
-  let stats =
-    {
-      depths_completed = !completed + 1;
-      solve_time = run.solve_time;
-      encode_time = run.encode_time;
-      cert_time_s;
-      proof_steps = (if config.certify then List.length (Solver.proof solver) else 0);
-      num_vars = Solver.num_vars solver;
-      num_clauses = Solver.num_clauses solver;
-      num_conflicts = sstats.Solver.conflicts;
-      vars_saved = cnf_stats.Cnf.vars_saved;
-      clauses_saved = cnf_stats.Cnf.clauses_saved;
-      peak_memory_mb = float_of_int (gc.Gc.heap_words * 8) /. 1e6;
-      latch_reasons = Hashtbl.fold (fun l () acc -> l :: acc) run.reasons [];
-      memory_reasons =
-        List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) run.mem_reasons []);
-      reasons_last_changed = run.reasons_last_changed;
-      solver_stats = sstats;
-    }
-  in
-  (* The self-contained evidence behind a DRAT-checked UNSAT verdict —
-     original clauses, derivation and assumption obligations — for layers
-     that persist certificates (lib/vcache) and re-check them independently
-     later.  Only for single-instance runs: under a portfolio, obligations
-     are spread over per-instance derivations and no single artifact
-     re-checks them. *)
-  let artifact =
-    match (certificate, run.portfolio) with
-    | Cert.Certified Cert.Drat_checked, None when run.obligations <> [] ->
-      Some
-        {
-          ca_num_vars = Solver.num_vars solver;
-          ca_original = Solver.export_clauses solver;
-          ca_proof = Solver.proof solver;
-          ca_obligations = List.rev_map (fun (cube, _) -> cube) run.obligations;
-        }
-    | _ -> None
-  in
-  { verdict; stats; certificate; artifact }
-
-(* Multi-property mode: one incremental run over the shared unrolling.  Each
-   property carries its own CP activation literal and is retired as soon as a
-   counterexample or a proof lands. *)
-type prop_state = {
-  ps_name : string;
-  ps_signal : Netlist.signal;
-  ps_act_cp : Lit.t;
-  mutable ps_verdict : verdict option;
-}
+  (try
+     for i = 0 to config.max_depth do
+       (* The deadline is on the solver's clock, [Unix.gettimeofday]. *)
+       (match config.deadline with
+       | Some d when Unix.gettimeofday () > d -> raise Solver.Timeout
+       | Some _ | None -> ());
+       Obs.span "depth" ~attrs:[ ("k", Obs.Int i) ] (fun () -> depth i)
+     done;
+     settle (Bounded_safe config.max_depth)
+   with
+  | Exit -> ()
+  | Solver.Timeout -> settle (Timed_out !completed)
+  | Solver.Budget_exceeded what -> settle (Out_of_budget { depth = !completed; what }));
+  !completed
 
 let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   let solver = Solver.create () in
@@ -548,6 +495,20 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   Solver.set_learnt_budget_mb solver config.learnt_mb_budget;
   if config.certify then Solver.set_proof_logging solver true;
   let unr = make_unroller config solver net in
+  (* Every property's [act_cp], then [act_lfp]: the variable numbering that
+     single-property runs have always had. *)
+  let props =
+    List.map
+      (fun name ->
+        {
+          ps_name = name;
+          ps_signal = Netlist.find_property net name;
+          ps_act_cp = Cnf.fresh_lit unr;
+          ps_verdict = None;
+        })
+      properties
+  in
+  let act_lfp = Cnf.fresh_lit unr in
   let run =
     {
       cfg = config;
@@ -555,10 +516,7 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
       net;
       solver;
       unr;
-      prop = Netlist.true_;
-      prop_name = "";
-      act_lfp = Cnf.fresh_lit unr;
-      act_cp = Cnf.fresh_lit unr;
+      act_lfp;
       state_latches =
         List.filter (fun l -> not (config.free_latches l)) (Netlist.latches net);
       reasons = Hashtbl.create 64;
@@ -571,190 +529,26 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
       encode_time = 0.0;
     }
   in
-  let act_init = Cnf.act_init unr in
-  (* Same policy as [check]: with a memory-distinctness predicate the
-     loop-free-path constraints cover the full modeled state and proofs run
-     at every depth; without one, empty latch-only constraints must not
-     claim a zero diameter while memory state evolves, and only the
-     distinctness-free depth-0 checks stay. *)
-  let lfp_meaningful =
-    run.hks.mem_distinct <> None
-    || run.state_latches <> []
-    || List.for_all (fun m -> Netlist.num_write_ports m = 0) (Netlist.memories net)
-  in
-  let proof_checks_at i = config.proof_checks && (lfp_meaningful || i = 0) in
-  let prop_pol = if config.proof_checks then Cnf.Both else Cnf.Neg in
-  let props =
-    List.map
-      (fun name ->
-        {
-          ps_name = name;
-          ps_signal = Netlist.find_property net name;
-          ps_act_cp = Cnf.fresh_lit unr;
-          ps_verdict = None;
-        })
-      properties
-  in
-  let undecided () = List.filter (fun p -> p.ps_verdict = None) props in
-  let deadline_passed () =
-    match config.deadline with
-    | Some d -> Obs.now () > d
-    | None -> false
-  in
-  let completed = ref (-1) in
-  let budget_hit = ref None in
-  (try
-     let i = ref 0 in
-     while !i <= config.max_depth && undecided () <> [] do
-       if deadline_passed () then raise Exit;
-       Obs.span "depth" ~attrs:[ ("k", Obs.Int !i) ] (fun () ->
-       timed_encode run (fun () ->
-           hooks.on_unroll unr !i;
-           List.iter
-             (fun (_, s, _) -> ignore (Cnf.lit unr ~frame:!i s))
-             run.watches;
-           if proof_checks_at !i then add_lfp_pairs run !i);
-       let pending = undecided () in
-       if proof_checks_at !i then begin
-         (* Forward diameter: settles every remaining property at once. *)
-         if timed_solve ~what:"lfp" run [ act_init; run.act_lfp ] = Solver.Unsat
-         then begin
-           List.iter
-             (fun p ->
-               p.ps_verdict <- Some (Proof { depth = !i; kind = Forward_diameter }))
-             pending;
-           raise Exit
-         end;
-         List.iter
-           (fun p ->
-             let p_i = Cnf.lit unr ~frame:!i p.ps_signal in
-             if
-               timed_solve ~what:"induction" run
-                 [ run.act_lfp; p.ps_act_cp; Lit.negate p_i ]
-               = Solver.Unsat
-             then
-               p.ps_verdict <- Some (Proof { depth = !i; kind = Backward_induction }))
-           pending
-       end;
-       List.iter
-         (fun p ->
-           if p.ps_verdict = None then begin
-             let p_i =
-               timed_encode run (fun () ->
-                   Cnf.lit ~pol:prop_pol unr ~frame:!i p.ps_signal)
-             in
-             match timed_solve run [ act_init; Lit.negate p_i ] with
-             | Solver.Sat ->
-               let run_p = { run with prop = p.ps_signal; prop_name = p.ps_name } in
-               p.ps_verdict <- Some (Counterexample (extract_trace run_p !i))
-             | Solver.Unsat ->
-               (* Parity with [check]: record when the reason set last grew,
-                  so [stop_on_stable] works in multi-property mode too. *)
-               if config.collect_reasons then begin
-                 let before =
-                   Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons
-                 in
-                 collect_reasons_from_core run;
-                 if Hashtbl.length run.reasons + Hashtbl.length run.mem_reasons <> before
-                 then run.reasons_last_changed <- !i
-               end
-           end)
-         pending;
-       (* CP updates for the survivors — only the proof checks assume the
-          per-property [act_cp]. *)
-       if config.proof_checks then
-         List.iter
-           (fun p ->
-             if p.ps_verdict = None then
-               let p_i = Cnf.lit unr ~frame:!i p.ps_signal in
-               Cnf.add_clause unr [ Lit.negate p.ps_act_cp; p_i ])
-           pending;
-       completed := !i;
-       (match config.stop_on_stable with
-       | Some s when config.collect_reasons && !i - run.reasons_last_changed >= s ->
-         List.iter
-           (fun p ->
-             if p.ps_verdict = None then p.ps_verdict <- Some (Reasons_stable !i))
-           props;
-         raise Exit
-       | Some _ | None -> ());
-       incr i)
-     done
-   with
-  | Exit | Solver.Timeout -> ()
-  | Solver.Budget_exceeded what -> budget_hit := Some what);
-  (* One DRAT check serves every UNSAT-backed verdict: all obligations were
-     answered by the same incremental solver over the shared unrolling. *)
+  let completed = depth_loop run props in
+  let verdicts = List.map (fun p -> Option.get p.ps_verdict) props in
   let cert_t0 = Obs.now () in
-  let unsat_certificate =
-    lazy
-      (if not config.certify then Cert.Unchecked "certification disabled"
-       else begin
-         dump_proof run;
-         certify_unsat run
-       end)
+  let certificates = Obs.span "certify" (fun () -> certify_verdicts run verdicts) in
+  let stats = stats_of run ~completed ~cert_time_s:(Obs.now () -. cert_t0) in
+  let artifact =
+    lazy (match run.portfolio with None -> Some (artifact_of run) | Some _ -> None)
   in
-  let certificate_of verdict =
-    if not config.certify then Cert.Unchecked "certification disabled"
-    else
-      Obs.span "certify" (fun () ->
-          match verdict with
-          | Proof _ | Bounded_safe _ | Reasons_stable _ -> Lazy.force unsat_certificate
-          | Counterexample t -> Trace.certify net t
-          | Timed_out _ -> Cert.Unchecked "timed out"
-          | Out_of_budget { what; _ } -> Cert.Unchecked ("out of budget: " ^ what))
+  let result verdict certificate =
+    let artifact =
+      match certificate with
+      | Cert.Certified Cert.Drat_checked -> Lazy.force artifact
+      | Cert.Certified _ | Cert.Refuted _ | Cert.Unchecked _ -> None
+    in
+    { verdict; stats; certificate; artifact }
   in
-  let gc = Gc.quick_stat () in
-  let cnf_stats = Cnf.stats unr in
-  (* Under a portfolio, the solver telemetry aggregates all instances: the
-     work the machine actually did, not just the winner's share. *)
-  let sstats =
-    match run.portfolio with
-    | Some p -> Portfolio.merged_stats p
-    | None -> Solver.stats solver
-  in
-  let stats =
-    {
-      depths_completed = !completed + 1;
-      solve_time = run.solve_time;
-      encode_time = run.encode_time;
-      cert_time_s = 0.0;
-      proof_steps = (if config.certify then List.length (Solver.proof solver) else 0);
-      num_vars = Solver.num_vars solver;
-      num_clauses = Solver.num_clauses solver;
-      num_conflicts = sstats.Solver.conflicts;
-      vars_saved = cnf_stats.Cnf.vars_saved;
-      clauses_saved = cnf_stats.Cnf.clauses_saved;
-      peak_memory_mb = float_of_int (gc.Gc.heap_words * 8) /. 1e6;
-      latch_reasons = Hashtbl.fold (fun l () acc -> l :: acc) run.reasons [];
-      memory_reasons =
-        List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) run.mem_reasons []);
-      reasons_last_changed = run.reasons_last_changed;
-      solver_stats = sstats;
-    }
-  in
-  let results =
-    List.map
-      (fun p ->
-        let verdict =
-          match p.ps_verdict with
-          | Some v -> v
-          | None -> (
-            match !budget_hit with
-            | Some what -> Out_of_budget { depth = !completed; what }
-            | None ->
-              if deadline_passed () then Timed_out !completed
-              else Bounded_safe config.max_depth)
-        in
-        let certificate = certificate_of verdict in
-        (p.ps_name, { verdict; stats; certificate; artifact = None }))
-      props
-  in
-  let stats = { stats with cert_time_s = Obs.now () -. cert_t0 } in
-  let results =
-    List.map (fun (name, r) -> (name, { r with stats })) results
-  in
-  (results, stats)
+  (List.combine properties (List.map2 result verdicts certificates), stats)
+
+let check ?config ?hooks net ~property =
+  snd (List.hd (fst (check_all ?config ?hooks net ~properties:[ property ])))
 
 let pp_verdict ppf = function
   | Proof { depth; kind = Forward_diameter } ->

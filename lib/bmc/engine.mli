@@ -77,15 +77,16 @@ type result = {
           outcome for UNSAT-backed verdicts and the concrete-design replay
           outcome for counterexamples *)
   artifact : cert_artifact option;
-      (** present exactly when [certificate = Certified Drat_checked] and the
-          run was single-instance (no Domain portfolio, whose obligations are
-          spread over per-instance derivations); {!check_all} never produces
-          one *)
+      (** present exactly when [certificate = Certified Drat_checked] and no
+          Domain portfolio ran (a portfolio spreads the obligations over
+          per-instance derivations) *)
 }
 
 type config = {
   max_depth : int;
-  deadline : float option;  (** wall-clock limit, [Unix.gettimeofday] scale *)
+  deadline : float option;
+      (** wall-clock limit, [Unix.gettimeofday] scale — also when {!Obs}
+          runs on a deterministic clock *)
   proof_checks : bool;  (** false = falsification only (BMC-2 style) *)
   collect_reasons : bool;  (** PBA bookkeeping from UNSAT cores *)
   stop_on_stable : int option;
@@ -148,6 +149,8 @@ type hooks = {
 val no_hooks : hooks
 
 val check : ?config:config -> ?hooks:hooks -> Netlist.t -> property:string -> result
+(** [check net ~property] is the one-property case of {!check_all}: the same
+    depth loop, CNF and solver run. *)
 
 val check_all :
   ?config:config ->
@@ -166,6 +169,8 @@ val check_all :
     run statistics.  With [collect_reasons] and [stop_on_stable] set, the
     run stops once the shared reason set has been stable for the requested
     number of depths, and every still-undecided property is reported as
-    [Reasons_stable] — the same contract as {!check}. *)
+    [Reasons_stable].  A timeout or exhausted budget settles every
+    still-undecided property with the deepest fully analysed depth.  Every
+    UNSAT-backed verdict shares one DRAT check of the run's obligations. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -95,6 +95,46 @@ let certify net trace =
       else Cert.Certified Cert.Trace_replayed
     with Mismatch why -> Cert.Refuted why)
 
+let of_model ?(watches = []) unr ~property ~depth ~mem_init =
+  let net = Cnf.net unr in
+  let value l = Satsolver.Solver.value (Cnf.solver unr) l in
+  let inputs =
+    Array.init (depth + 1) (fun frame ->
+        List.filter_map
+          (fun s ->
+            match Netlist.node net (Netlist.node_of s) with
+            | Netlist.Input name -> Some (name, value (Cnf.lit unr ~frame s))
+            | Netlist.Const_false | Netlist.Latch _ | Netlist.And _
+            | Netlist.Mem_out _ -> None)
+          (Netlist.inputs net))
+  in
+  let latch0 =
+    List.filter_map
+      (fun l ->
+        match Netlist.latch_init net l with
+        | None -> Some (Netlist.latch_name net l, value (Cnf.lit unr ~frame:0 l))
+        | Some _ -> None)
+      (Netlist.latches net)
+  in
+  let watch =
+    List.filter_map
+      (fun (name, s, enable) ->
+        let complete = ref true in
+        let values =
+          Array.init (depth + 1) (fun frame ->
+              match Cnf.lit_opt unr ~frame s with
+              | Some l -> value l
+              | None ->
+                complete := false;
+                false)
+        in
+        if !complete then
+          Some { w_name = name; w_signal = s; w_enable = enable; w_values = values }
+        else None)
+      watches
+  in
+  { property; depth; inputs; latch0; mem_init; watch }
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>counterexample for %S at depth %d@," t.property t.depth;
   if t.latch0 <> [] then begin

@@ -43,6 +43,19 @@ val certify : Netlist.t -> t -> Cert.t
     [depth].  Returns [Certified Trace_replayed], or [Refuted] naming the
     first diverging signal and cycle. *)
 
+val of_model :
+  ?watches:(string * Netlist.signal * Netlist.signal option) list ->
+  Cnf.t ->
+  property:string ->
+  depth:int ->
+  mem_init:(string * (int * int) list) list ->
+  t
+(** Read a trace of length [depth] off the unroller's solver after a
+    satisfiable query: the input stimulus of every frame and the frame-0
+    values of arbitrary-init latches.  Each [(name, signal, enable)] watch
+    whose signal is encoded in every frame [0 .. depth] is recorded as a
+    {!watch}; the others are dropped. *)
+
 val property_values : Netlist.t -> t -> bool array
 (** Value of the property signal at each frame [0 .. depth] during replay. *)
 

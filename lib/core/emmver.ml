@@ -88,8 +88,10 @@ type outcome = {
   cert_artifact : Bmc.Engine.cert_artifact option;
 }
 
+(* Engine deadlines are on the solver's clock, [Unix.gettimeofday] — not
+   [Obs.now], which a trace may replace by a deterministic clock. *)
 let deadline_of opts =
-  Option.map (fun s -> Obs.now () +. s) opts.timeout_s
+  Option.map (fun s -> Unix.gettimeofday () +. s) opts.timeout_s
 
 let engine_config ?(proof_checks = true) ?free_latches ?proof_file opts =
   {
@@ -150,16 +152,16 @@ let error_of_result (result : Bmc.Engine.result) =
 let outcome_of_result ?emm_counts ?abstraction ~model_latches ~time_s replay_net
     (result : Bmc.Engine.result) =
   let stats = result.Bmc.Engine.stats in
-  let emm_saved_v, emm_saved_c, emm_encode =
+  let emm_saved_v, emm_saved_c =
     match emm_counts with
-    | Some c -> (c.Emm.saved_vars, c.Emm.saved_clauses, c.Emm.encode_time_s)
-    | None -> (0, 0, 0.0)
+    | Some c -> (c.Emm.saved_vars, c.Emm.saved_clauses)
+    | None -> (0, 0)
   in
   {
     conclusion = conclusion_of_result replay_net result;
     time_s;
     solve_time_s = stats.Bmc.Engine.solve_time;
-    encode_time_s = stats.Bmc.Engine.encode_time +. emm_encode;
+    encode_time_s = stats.Bmc.Engine.encode_time;
     memory_mb = stats.Bmc.Engine.peak_memory_mb;
     model_latches;
     model_vars = stats.Bmc.Engine.num_vars;
@@ -596,11 +598,21 @@ let apply_budgets options (b : Policy.budgets) =
       (match b.Policy.learnt_mb with Some _ as m -> m | None -> options.learnt_mb_budget);
   }
 
+(* A conclusive verdict settles the property: a proof, or a counterexample
+   not known to be spurious.  [Inconclusive] and replay-refuted
+   counterexamples (the abstract engine's speciality) leave the race open. *)
+let conclusive o =
+  match o.conclusion with
+  | Proved _ -> true
+  | Falsified { genuine = Some false; _ } -> false
+  | Falsified _ -> true
+  | Inconclusive _ -> false
+
 (* How one engine attempt feeds the fallback chain: a refuted certificate or
    a resource-exhausted verdict is a failure (fall through / retry); a
    conclusive verdict wins; anything else is an honest inconclusive kept as
    the answer of last resort. *)
-let classify_outcome conclusive o =
+let classify_outcome o =
   match o.error with
   | Some e -> Policy.Failed e
   | None -> if conclusive o then Policy.Done o else Policy.Soft o
@@ -619,13 +631,6 @@ let verify_resilient ?(options = default_options) ?(policy = Policy.default) ?in
     | [] -> [ Emm_bmc ]
     | ms -> ms
   in
-  let conclusive o =
-    match o.conclusion with
-    | Proved _ -> true
-    | Falsified { genuine = Some false; _ } -> false
-    | Falsified _ -> true
-    | Inconclusive _ -> false
-  in
   let run method_ ~attempt =
     (* One forked worker per attempt: crash isolation, and a hook for the
        fault-injection tests to kill or poison the child. *)
@@ -638,7 +643,7 @@ let verify_resilient ?(options = default_options) ?(policy = Policy.default) ?in
         [ () ]
     in
     match results with
-    | [ Ok o ] -> classify_outcome conclusive o
+    | [ Ok o ] -> classify_outcome o
     | [ Error f ] -> Policy.Failed (error_of_failure f)
     | _ -> Policy.Failed (Policy.Worker_killed "no worker result")
   in
@@ -752,16 +757,6 @@ let verify_delta ?(options = default_options) ?(jobs = 1) ?job_timeout_s ~method
   in
   let outcomes = verify_many ~options ~jobs ?job_timeout_s ~method_ net ~properties in
   List.map2 (fun (p, st) (_, o) -> (p, st, o)) statuses outcomes
-
-(* A conclusive verdict settles the property: a proof, or a counterexample
-   not known to be spurious.  [Inconclusive] and replay-refuted
-   counterexamples (the abstract engine's speciality) leave the race open. *)
-let conclusive o =
-  match o.conclusion with
-  | Proved _ -> true
-  | Falsified { genuine = Some false; _ } -> false
-  | Falsified _ -> true
-  | Inconclusive _ -> false
 
 let default_portfolio = [ Emm_bmc; Explicit_bmc; Bdd_reach ]
 

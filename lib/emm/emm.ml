@@ -952,39 +952,6 @@ type race = {
   race_trace : Bmc.Trace.t;
 }
 
-(* Input stimulus of the current model, for race reporting. *)
-let trace_of_model t ~depth ~label =
-  let net = Cnf.net t.unr in
-  let solver = Cnf.solver t.unr in
-  let inputs =
-    Array.init (depth + 1) (fun frame ->
-        List.filter_map
-          (fun s ->
-            match Netlist.node net (Netlist.node_of s) with
-            | Netlist.Input name ->
-              Some (name, Solver.value solver (Cnf.lit t.unr ~frame s))
-            | Netlist.Const_false | Netlist.Latch _ | Netlist.And _
-            | Netlist.Mem_out _ -> None)
-          (Netlist.inputs net))
-  in
-  let latch0 =
-    List.filter_map
-      (fun l ->
-        match Netlist.latch_init net l with
-        | None ->
-          Some (Netlist.latch_name net l, Solver.value solver (Cnf.lit t.unr ~frame:0 l))
-        | Some _ -> None)
-      (Netlist.latches net)
-  in
-  {
-    Bmc.Trace.property = label;
-    depth;
-    inputs;
-    latch0;
-    mem_init = mem_init_of_model t;
-    watch = [];
-  }
-
 let find_data_race ?(max_depth = 50) ?deadline net =
   let solver = Solver.create () in
   Solver.set_deadline solver deadline;
@@ -994,7 +961,7 @@ let find_data_race ?(max_depth = 50) ?deadline net =
   let t = create unr in
   let act_init = Cnf.act_init unr in
   let deadline_passed () =
-    match deadline with Some d -> Obs.now () > d | None -> false
+    match deadline with Some d -> Unix.gettimeofday () > d | None -> false
   in
   let result = ref None in
   (try
@@ -1032,9 +999,10 @@ let find_data_race ?(max_depth = 50) ?deadline net =
                        race_depth = k;
                        race_ports = (w1, w2);
                        race_trace =
-                         trace_of_model t ~depth:k
-                           ~label:
-                             (Printf.sprintf "__race_%s__" (Netlist.memory_name mem));
+                         Bmc.Trace.of_model unr ~depth:k
+                           ~property:
+                             (Printf.sprintf "__race_%s__" (Netlist.memory_name mem))
+                           ~mem_init:(mem_init_of_model t);
                      }
              done
            done)

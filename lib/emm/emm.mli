@@ -169,8 +169,9 @@ type race = {
 
 val find_data_race :
   ?max_depth:int -> ?deadline:float -> Netlist.t -> race option
-(** [None] when no race is reachable within the bound.  Memories with fewer
-    than two write ports are trivially race-free. *)
+(** [None] when no race is reachable within the bound or before [deadline]
+    ([Unix.gettimeofday] scale).  Memories with fewer than two write ports
+    are trivially race-free. *)
 
 (** {2 BMC with EMM} *)
 

@@ -10,8 +10,8 @@
     - {b monotonic counters} ({!counter_add}, {!counter_set}) and
       {b instant annotations} ({!instant});
     - an {b injectable clock} ({!Clock}), so tests can run against a
-      deterministic fixed clock and the engine's deadline checks share one
-      time source with the telemetry ({!now});
+      deterministic fixed clock ({!now}); deadlines stay on
+      [Unix.gettimeofday], the clock the SAT solver enforces them with;
     - two {b exporters}: a JSON-lines event stream and the Chrome
       [trace_event] format loadable in [chrome://tracing] / Perfetto;
     - {b worker merging}: a forked worker records events locally
@@ -101,7 +101,8 @@ val enabled : unit -> bool
 
 val now : unit -> float
 (** The current recorder's clock, or [Unix.gettimeofday] when disabled.
-    The single time source for engine deadline checks and telemetry. *)
+    The time source of all telemetry (spans, phase timings); not of
+    deadlines, which are on [Unix.gettimeofday]. *)
 
 (** {1 Emission} *)
 
