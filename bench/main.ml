@@ -68,9 +68,10 @@ let time f =
   let r = f () in
   (r, Obs.now () -. t0)
 
+(* The process's peak major heap so far, in MB. *)
 let mb () =
   let gc = Gc.quick_stat () in
-  float_of_int (gc.Gc.heap_words * 8) /. 1e6
+  float_of_int (gc.Gc.top_heap_words * 8) /. 1e6
 
 let options ?(max_depth = 150) () =
   { Emmver.default_options with max_depth; timeout_s = Some !timeout }

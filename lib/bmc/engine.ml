@@ -360,7 +360,7 @@ let stats_of run ~completed ~cert_time_s =
     num_conflicts = sstats.Solver.conflicts;
     vars_saved = cnf_stats.Cnf.vars_saved;
     clauses_saved = cnf_stats.Cnf.clauses_saved;
-    peak_memory_mb = float_of_int (gc.Gc.heap_words * 8) /. 1e6;
+    peak_memory_mb = float_of_int (gc.Gc.top_heap_words * 8) /. 1e6;
     latch_reasons = Hashtbl.fold (fun l () acc -> l :: acc) run.reasons [];
     memory_reasons =
       List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) run.mem_reasons []);

@@ -48,6 +48,9 @@ type stats = {
           plain per-frame Tseitin baseline (0 when [simplify = false]) *)
   clauses_saved : int;  (** unroller clauses avoided, same baseline *)
   peak_memory_mb : float;
+      (** the process's peak major heap ([Gc.top_heap_words]) in MB, read
+          when the run ends: a high-water mark over the whole process, so it
+          also covers earlier runs in the same process *)
   latch_reasons : Netlist.signal list;
       (** union of latch reasons over all analysed depths *)
   memory_reasons : int list;

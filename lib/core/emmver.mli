@@ -98,6 +98,9 @@ type outcome = {
       (** seconds spent building the formula: unrolling, EMM constraint
           generation and loop-free-path constraints *)
   memory_mb : float;
+      (** the process's peak major heap in MB (the engine's
+          [peak_memory_mb]); the BDD methods report their peak node table
+          instead *)
   model_latches : int;  (** latches of the model actually checked *)
   model_vars : int;
   model_clauses : int;

@@ -357,16 +357,22 @@ let add_attrs b attrs =
     attrs;
   Buffer.add_char b '}'
 
-(* Timestamps: JSON-lines keeps the raw clock readings ("ts"); Chrome wants
-   microseconds ("ts" in us), which we make relative to the earliest row so
-   traces open at t=0 in Perfetto. *)
+(* Timestamps: JSON-lines keeps the raw clock readings ("ts", seconds) at
+   microsecond resolution, the wall clock's own (epoch seconds take ten
+   digits before the point, so [add_num]'s six significant digits would
+   keep none of the fraction); integers print bare, so fixed-clock traces
+   stay byte-identical.  Chrome wants microseconds ("ts" in us): the same
+   readings rounded to whole microseconds, made relative to the earliest
+   row so traces open at t=0 in Perfetto.  A span's duration is thus the
+   same in both exports. *)
 let add_common b ~ph ~name ~ts ~pid =
   Buffer.add_string b "{\"ph\":\"";
   Buffer.add_string b ph;
   Buffer.add_string b "\",\"name\":";
   add_str b name;
   Buffer.add_string b ",\"ts\":";
-  add_num b ts;
+  if Float.is_integer ts && Float.abs ts < 1e15 then add_num b ts
+  else Buffer.add_string b (Printf.sprintf "%.6f" ts);
   Buffer.add_string b ",\"pid\":";
   Buffer.add_string b (string_of_int pid);
   Buffer.add_string b ",\"tid\":";
@@ -412,12 +418,9 @@ let export fmt b rows =
     let base =
       List.fold_left (fun acc (_, ev) -> Float.min acc (ts_of ev)) infinity rows
     in
-    let base = if base = infinity then 0.0 else base in
-    let us_of ts =
-      (* Round to a tenth of a microsecond: deterministic and far below
-         the clock's own resolution. *)
-      Float.round ((ts -. base) *. 1e7) /. 10.0
-    in
+    let us ts = Float.round (ts *. 1e6) in
+    let base = if base = infinity then 0.0 else us base in
+    let us_of ts = us ts -. base in
     Buffer.add_string b "{\"traceEvents\":[";
     List.iteri
       (fun i row ->

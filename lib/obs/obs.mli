@@ -209,9 +209,11 @@ val format_of_path : string -> format
 (** [.jsonl] extension selects {!Jsonl}; anything else {!Chrome}. *)
 
 val export : format -> Buffer.t -> row list -> unit
-(** Render rows. {!Jsonl}: one JSON object per line, absolute timestamps.
+(** Render rows. {!Jsonl}: one JSON object per line, absolute timestamps in
+    seconds at microsecond resolution (integer readings print bare).
     {!Chrome}: a [{"traceEvents": [...]}] document with B/E/C/i phase
-    events, microsecond timestamps relative to the earliest row, and
+    events, the same readings in whole microseconds relative to the earliest
+    row (so span durations agree between the two formats), and
     [pid]/[tid] tracks per process — loadable in Perfetto. *)
 
 val write_file : ?format:format -> string -> t -> unit

@@ -1,13 +1,44 @@
 type result = Sat | Unsat
 
-type clause = {
-  cid : int;
-  lits : int array; (* watched literals at positions 0 and 1 *)
-  learnt : bool;
-  mutable activity : float;
-  mutable lbd : int; (* glue (distinct decision levels); 0 for originals *)
-  mutable removed : bool;
-}
+(* A clause is one unboxed int array, [|cid; meta; lit0; lit1; ...|]: the
+   dense clause id, then [meta] = lbd lsl 2 lor removed lsl 1 lor learnt,
+   then the literals, the two watched ones at positions 0 and 1 (array
+   slots 2 and 3).  Learnt-clause activity lives in [t.cla_act], indexed by
+   cid.  Deleted learnts are only flagged removed; their watches are dropped
+   lazily by [propagate] and the array is reclaimed by the GC.  [Cl.none],
+   the empty array, is the one shared "no reason" / "no conflict" value. *)
+module Cl = struct
+  type t = int array
+
+  let none : t = [||]
+  let base = 2
+  let id (c : t) = Array.unsafe_get c 0
+  let learnt (c : t) = Array.unsafe_get c 1 land 1 <> 0
+  let removed (c : t) = Array.unsafe_get c 1 land 2 <> 0
+  let set_removed (c : t) = c.(1) <- c.(1) lor 2
+  let lbd (c : t) = Array.unsafe_get c 1 lsr 2
+  let set_lbd (c : t) d = c.(1) <- (d lsl 2) lor (c.(1) land 3)
+  let size (c : t) = Array.length c - base
+  let lit (c : t) i = Array.unsafe_get c (i + base)
+  let set_lit (c : t) i l = Array.unsafe_set c (i + base) l
+
+  let make ~id ~learnt ~lbd lits : t =
+    Array.of_list (id :: ((lbd lsl 2) lor Bool.to_int learnt) :: lits)
+
+  let lits (c : t) = Array.to_list (Array.sub c base (size c))
+
+  let iter f (c : t) =
+    for i = base to Array.length c - 1 do
+      f (Array.unsafe_get c i)
+    done
+
+  let fold f acc (c : t) =
+    let acc = ref acc in
+    iter (fun l -> acc := f !acc l) c;
+    !acc
+end
+
+type clause = Cl.t
 
 (* Bookkeeping needed to rebuild refutations after clause deletion: original
    clauses keep their tag, learnt clauses keep the premises they were
@@ -23,18 +54,6 @@ type cid_info =
 (* One line of a DRAT proof: clause additions (learnt clauses, in derivation
    order) interleaved with the deletions performed by DB reduction. *)
 type proof_step = Padd of Lit.t list | Pdel of Lit.t list
-
-let dummy_clause =
-  { cid = -1; lits = [||]; learnt = false; activity = 0.; lbd = 0; removed = true }
-
-(* One watch-list entry.  [blocker] is a literal of the clause other than the
-   watched one: when it is already true the clause is satisfied and the
-   clause cells are never touched, which is where most propagation cache
-   misses used to come from.  For binary clauses the blocker is exactly the
-   other literal, so propagation resolves them entirely from the watcher. *)
-type watcher = { mutable blocker : int; wcl : clause }
-
-let dummy_watcher = { blocker = 0; wcl = dummy_clause }
 
 (* Cumulative search statistics, cheap enough to keep always-on. *)
 type stats = {
@@ -72,10 +91,19 @@ type t = {
   mutable nvars : int;
   clauses : clause Vec.t;
   learnts : clause Vec.t;
-  mutable watches : watcher Vec.t array; (* indexed by literal *)
+  (* Watch lists, indexed by literal: entry [i < wn.(l)] of literal [l]'s
+     list is the clause [wcls.(l).(i)] with blocker [wblk.(l).(i)], a literal
+     of the clause other than [l].  When the blocker is already true the
+     clause is satisfied and its cells are never touched; for binary clauses
+     the blocker is exactly the other literal, so propagation resolves them
+     from the watch list alone.  A list's arrays are allocated at its first
+     push. *)
+  mutable wblk : int array array;
+  mutable wcls : clause array array;
+  mutable wn : int array;
   mutable assign : int array; (* var -> -1 undef / 0 false / 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : clause array; (* [Cl.none] for decisions and unassigned *)
   mutable phase : bool array;
   mutable seen : int array; (* 0 unseen / 1 in-clause / 2 removable / 3 failed *)
   mutable level_stamp : int array; (* level -> stamp, for LBD counting *)
@@ -87,7 +115,8 @@ type t = {
   mutable var_inc : float;
   mutable cla_inc : float;
   order : Order_heap.t;
-  cid_info : (int, cid_info) Hashtbl.t;
+  mutable cid_info : cid_info array; (* indexed by cid, below [next_cid] *)
+  mutable cla_act : float array; (* learnt-clause activity, indexed by cid *)
   mutable next_cid : int;
   mutable ok : bool;
   mutable last_core : int list;
@@ -142,12 +171,14 @@ let create () =
   let activity = ref (Array.make 64 0.0) in
   {
     nvars = 0;
-    clauses = Vec.create ~dummy:dummy_clause ();
-    learnts = Vec.create ~dummy:dummy_clause ();
-    watches = Array.init 128 (fun _ -> Vec.create ~capacity:4 ~dummy:dummy_watcher ());
+    clauses = Vec.create ~dummy:Cl.none ();
+    learnts = Vec.create ~dummy:Cl.none ();
+    wblk = Array.make 128 [||];
+    wcls = Array.make 128 [||];
+    wn = Array.make 128 0;
     assign = Array.make 64 (-1);
     level = Array.make 64 (-1);
-    reason = Array.make 64 None;
+    reason = Array.make 64 Cl.none;
     phase = Array.make 64 false;
     seen = Array.make 64 0;
     level_stamp = Array.make 65 0;
@@ -159,7 +190,8 @@ let create () =
     var_inc = 1.0;
     cla_inc = 1.0;
     order = Order_heap.create ~activity:(fun v -> !activity.(v));
-    cid_info = Hashtbl.create 1024;
+    cid_info = Array.make 1024 Imported;
+    cla_act = Array.make 1024 0.0;
     next_cid = 0;
     ok = true;
     last_core = [];
@@ -264,20 +296,18 @@ let grow_arrays t n =
   let old = Array.length t.assign in
   if n > old then begin
     let cap = max (2 * old) n in
-    let grow_int a def =
+    let grow_arr a def =
       let b = Array.make cap def in
       Array.blit a 0 b 0 old;
       b
     in
-    t.assign <- grow_int t.assign (-1);
-    t.level <- grow_int t.level (-1);
-    t.seen <- grow_int t.seen 0;
+    t.assign <- grow_arr t.assign (-1);
+    t.level <- grow_arr t.level (-1);
+    t.seen <- grow_arr t.seen 0;
     (let b = Array.make (cap + 1) 0 in
      Array.blit t.level_stamp 0 b 0 (Array.length t.level_stamp);
      t.level_stamp <- b);
-    (let b = Array.make cap None in
-     Array.blit t.reason 0 b 0 old;
-     t.reason <- b);
+    t.reason <- grow_arr t.reason Cl.none;
     (let b = Array.make cap t.phase_default in
      Array.blit t.phase 0 b 0 old;
      t.phase <- b);
@@ -285,14 +315,17 @@ let grow_arrays t n =
     Array.blit !(t.activity) 0 acts 0 old;
     t.activity := acts
   end;
-  let oldw = Array.length t.watches in
+  let oldw = Array.length t.wn in
   if 2 * n > oldw then begin
     let cap = max (2 * oldw) (2 * n) in
-    let w = Array.init cap (fun i ->
-        if i < oldw then t.watches.(i)
-        else Vec.create ~capacity:4 ~dummy:dummy_watcher ())
+    let grow a def =
+      let b = Array.make cap def in
+      Array.blit a 0 b 0 oldw;
+      b
     in
-    t.watches <- w
+    t.wblk <- grow t.wblk [||];
+    t.wcls <- grow t.wcls [||];
+    t.wn <- grow t.wn 0
   end
 
 let new_var t =
@@ -325,10 +358,12 @@ let bump_var t v =
   end;
   Order_heap.update t.order v
 
-let bump_clause t (c : clause) =
-  c.activity <- c.activity +. t.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) t.learnts;
+let bump_clause t c =
+  let act = t.cla_act in
+  let id = Cl.id c in
+  act.(id) <- act.(id) +. t.cla_inc;
+  if act.(id) > 1e20 then begin
+    Vec.iter (fun c -> act.(Cl.id c) <- act.(Cl.id c) *. 1e-20) t.learnts;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
@@ -350,18 +385,18 @@ let lits_lbd t lits =
     lits;
   !n
 
-let clause_lbd t (c : clause) =
+let clause_lbd t c =
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
   let n = ref 0 in
-  Array.iter
+  Cl.iter
     (fun l ->
       let lv = t.level.(Lit.var l) in
       if lv > 0 && t.level_stamp.(lv) <> stamp then begin
         t.level_stamp.(lv) <- stamp;
         incr n
       end)
-    c.lits;
+    c;
   !n
 
 let enqueue t l reason =
@@ -381,7 +416,7 @@ let cancel_until t lvl =
       let v = Lit.var l in
       t.phase.(v) <- Lit.sign l;
       t.assign.(v) <- -1;
-      t.reason.(v) <- None;
+      t.reason.(v) <- Cl.none;
       t.level.(v) <- -1;
       Order_heap.insert t.order v
     done;
@@ -390,100 +425,121 @@ let cancel_until t lvl =
     t.qhead <- Vec.size t.trail
   end
 
+(* Append [c] with blocker [blocker] to literal [l]'s watch list. *)
+let watch t l blocker c =
+  let n = t.wn.(l) in
+  if n = Array.length t.wblk.(l) then begin
+    let cap = max 4 (2 * n) in
+    let blk = Array.make cap 0 and cls = Array.make cap Cl.none in
+    Array.blit t.wblk.(l) 0 blk 0 n;
+    Array.blit t.wcls.(l) 0 cls 0 n;
+    t.wblk.(l) <- blk;
+    t.wcls.(l) <- cls
+  end;
+  Array.unsafe_set t.wblk.(l) n blocker;
+  Array.unsafe_set t.wcls.(l) n c;
+  t.wn.(l) <- n + 1
+
+(* After a conflict: keep the unvisited watch entries [i, n) by moving them
+   down to [j]; returns the new kept count. *)
+let keep_rest blk cls i j n =
+  Array.blit blk i blk j (n - i);
+  Array.blit cls i cls j (n - i);
+  j + n - i
+
 (* Two-watched-literal Boolean constraint propagation with blocking literals
-   and inlined binary-clause handling.  Returns the conflicting clause, if
-   any. *)
+   and inlined binary-clause handling.  Returns the conflicting clause, or
+   [Cl.none]. *)
 let propagate t =
-  let confl = ref None in
-  while !confl = None && t.qhead < Vec.size t.trail do
+  let confl = ref Cl.none in
+  while !confl == Cl.none && t.qhead < Vec.size t.trail do
     let p = Vec.get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
     let false_lit = Lit.negate p in
-    let ws = t.watches.(false_lit) in
-    let n = Vec.size ws in
+    let blk = t.wblk.(false_lit) and cls = t.wcls.(false_lit) in
+    let n = t.wn.(false_lit) in
+    (* Entries [0, j) are kept, [j, i) dropped or moved, [i, n) unvisited. *)
     let j = ref 0 in
     let i = ref 0 in
     while !i < n do
-      let w = Vec.unsafe_get ws !i in
+      let blocker = Array.unsafe_get blk !i in
+      let c = Array.unsafe_get cls !i in
       incr i;
-      let c = w.wcl in
-      if not c.removed then begin
-        if lit_value t w.blocker = 1 then begin
+      if not (Cl.removed c) then begin
+        if lit_value t blocker = 1 then begin
           (* Blocker satisfies the clause; the clause itself stays cold. *)
-          Vec.unsafe_set ws !j w;
+          Array.unsafe_set blk !j blocker;
+          Array.unsafe_set cls !j c;
           incr j
         end
-        else if Array.length c.lits = 2 then begin
-          (* Binary: the blocker is the other literal, so the watcher alone
-             decides between unit propagation and conflict. *)
-          Vec.unsafe_set ws !j w;
+        else if Cl.size c = 2 then begin
+          (* Binary: the blocker is the other literal, so the watch entry
+             alone decides between unit propagation and conflict. *)
+          Array.unsafe_set blk !j blocker;
+          Array.unsafe_set cls !j c;
           incr j;
-          let other = w.blocker in
           (* Keep the reason invariant: position 0 holds the implied
              literal. *)
-          if c.lits.(0) <> other then begin
-            c.lits.(0) <- other;
-            c.lits.(1) <- false_lit
+          if Cl.lit c 0 <> blocker then begin
+            Cl.set_lit c 0 blocker;
+            Cl.set_lit c 1 false_lit
           end;
-          if lit_value t other = 0 then begin
-            confl := Some c;
+          if lit_value t blocker = 0 then begin
+            confl := c;
             t.qhead <- Vec.size t.trail;
-            while !i < n do
-              Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
-              incr i;
-              incr j
-            done
+            j := keep_rest blk cls !i !j n;
+            i := n
           end
-          else enqueue t other (Some c)
+          else enqueue t blocker c
         end
         else begin
           (* Normalise: the falsified watch sits at position 1. *)
-          if c.lits.(0) = false_lit then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- false_lit
+          if Cl.lit c 0 = false_lit then begin
+            Cl.set_lit c 0 (Cl.lit c 1);
+            Cl.set_lit c 1 false_lit
           end;
-          let first = c.lits.(0) in
-          if first <> w.blocker && lit_value t first = 1 then begin
+          let first = Cl.lit c 0 in
+          if first <> blocker && lit_value t first = 1 then begin
             (* Clause already satisfied; refresh the blocker in place. *)
-            w.blocker <- first;
-            Vec.unsafe_set ws !j w;
+            Array.unsafe_set blk !j first;
+            Array.unsafe_set cls !j c;
             incr j
           end
           else begin
             (* Look for a replacement watch. *)
-            let len = Array.length c.lits in
-            let k = ref 2 in
-            while !k < len && lit_value t c.lits.(!k) = 0 do
+            let len = Array.length c in
+            let k = ref (Cl.base + 2) in
+            while !k < len && lit_value t (Array.unsafe_get c !k) = 0 do
               incr k
             done;
             if !k < len then begin
-              c.lits.(1) <- c.lits.(!k);
-              c.lits.(!k) <- false_lit;
-              Vec.push t.watches.(c.lits.(1)) { blocker = first; wcl = c }
+              let l = Array.unsafe_get c !k in
+              Cl.set_lit c 1 l;
+              Array.unsafe_set c !k false_lit;
+              watch t l first c
             end
             else begin
               (* Unit or conflicting. *)
-              w.blocker <- first;
-              Vec.unsafe_set ws !j w;
+              Array.unsafe_set blk !j first;
+              Array.unsafe_set cls !j c;
               incr j;
               if lit_value t first = 0 then begin
-                confl := Some c;
+                confl := c;
                 t.qhead <- Vec.size t.trail;
-                (* Keep the remaining watches. *)
-                while !i < n do
-                  Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
-                  incr i;
-                  incr j
-                done
+                j := keep_rest blk cls !i !j n;
+                i := n
               end
-              else enqueue t first (Some c)
+              else enqueue t first c
             end
           end
         end
       end
     done;
-    Vec.shrink ws !j
+    (* Drop the references to clauses unwatched here, so the GC can reclaim
+       deleted learnts. *)
+    Array.fill cls !j (n - !j) Cl.none;
+    t.wn.(false_lit) <- !j
   done;
   !confl
 
@@ -508,27 +564,27 @@ let collect_refutation t seeds =
       if s >= 0 then begin
         if not (Hashtbl.mem visited_cid s) then begin
           Hashtbl.add visited_cid s ();
-          match Hashtbl.find_opt t.cid_info s with
-          | Some (Original _) | None -> originals := s :: !originals
-          | Some Imported ->
+          match t.cid_info.(s) with
+          | Original _ -> originals := s :: !originals
+          | Imported ->
             (* No local derivation: the core under-approximates the original
                clauses actually needed.  Flag it so consumers that require an
                exact core ({!core_complete}) can degrade conservatively. *)
             t.core_tainted <- true
-          | Some (Learnt_from premises) -> Array.iter push premises
+          | Learnt_from premises -> Array.iter push premises
         end
       end
       else begin
         let v = -s - 1 in
         if not (Hashtbl.mem visited_var v) then begin
           Hashtbl.add visited_var v ();
-          match t.reason.(v) with
-          | Some c ->
-            push c.cid;
-            Array.iter (fun l -> if Lit.var l <> v then push (var_marker (Lit.var l))) c.lits
-          | None ->
-            if t.level.(v) > 0 then
-              failed := Lit.of_var v (t.assign.(v) = 1) :: !failed
+          let c = t.reason.(v) in
+          if c != Cl.none then begin
+            push (Cl.id c);
+            Cl.iter (fun l -> if Lit.var l <> v then push (var_marker (Lit.var l))) c
+          end
+          else if t.level.(v) > 0 then
+            failed := Lit.of_var v (t.assign.(v) = 1) :: !failed
         end
       end
   done;
@@ -551,15 +607,15 @@ let collect_refutation t seeds =
 let abstract_level t v = 1 lsl (t.level.(v) land 31)
 
 let commit_removable_premises t premises v =
-  match t.reason.(v) with
-  | None -> ()
-  | Some r ->
-    premises := r.cid :: !premises;
-    Array.iter
+  let r = t.reason.(v) in
+  if r != Cl.none then begin
+    premises := Cl.id r :: !premises;
+    Cl.iter
       (fun l ->
         let w = Lit.var l in
         if w <> v && t.level.(w) = 0 then premises := var_marker w :: !premises)
-      r.lits
+      r
+  end
 
 (* On BMC unrollings reason chains run thousands of assignments deep, so an
    unbounded walk can dwarf the savings; past the budget the literal is
@@ -567,9 +623,9 @@ let commit_removable_premises t premises v =
 let redundancy_budget = 512
 
 let lit_redundant t abstract_levels premises to_clear q =
-  match t.reason.(Lit.var q) with
-  | None -> false
-  | Some c0 ->
+  let c0 = t.reason.(Lit.var q) in
+  c0 != Cl.none
+  && begin
     let stack = ref [] in (* (resume index, literal) continuations *)
     let p = ref q in
     let c = ref c0 in
@@ -578,8 +634,8 @@ let lit_redundant t abstract_levels premises to_clear q =
     let running = ref true in
     let budget = ref redundancy_budget in
     while !running do
-      if !i < Array.length !c.lits then begin
-        let l = !c.lits.(!i) in
+      if !i < Cl.size !c then begin
+        let l = Cl.lit !c !i in
         incr i;
         let v = Lit.var l in
         decr budget;
@@ -598,7 +654,7 @@ let lit_redundant t abstract_levels premises to_clear q =
         end
         else if t.level.(v) = 0 || t.seen.(v) = 1 || t.seen.(v) = 2 then ()
         else if
-          t.reason.(v) = None || t.seen.(v) = 3
+          t.reason.(v) == Cl.none || t.seen.(v) = 3
           || abstract_level t v land abstract_levels = 0
         then begin
           (* Dead end: everything on the DFS path fails with it. *)
@@ -621,7 +677,7 @@ let lit_redundant t abstract_levels premises to_clear q =
           (* Descend into [l]'s reason. *)
           stack := (!i, !p) :: !stack;
           p := l;
-          c := (match t.reason.(v) with Some r -> r | None -> assert false);
+          c := t.reason.(v);
           i := 1
         end
       end
@@ -638,11 +694,12 @@ let lit_redundant t abstract_levels premises to_clear q =
         | (si, sp) :: rest ->
           stack := rest;
           p := sp;
-          c := (match t.reason.(Lit.var sp) with Some r -> r | None -> assert false);
+          c := t.reason.(Lit.var sp);
           i := si
       end
     done;
     !ok
+  end
 
 (* First-UIP conflict analysis.  Returns the learnt clause (asserting literal
    first), its LBD, the backjump level, and the premises resolved on the
@@ -658,20 +715,20 @@ let analyze t confl =
   let conflict_level = decision_level t in
   let continue = ref true in
   while !continue do
-    premises := !c.cid :: !premises;
-    if !c.learnt then begin
-      bump_clause t !c;
+    let cl = !c in
+    premises := Cl.id cl :: !premises;
+    if Cl.learnt cl then begin
+      bump_clause t cl;
       (* Glucose-style dynamic LBD update: clauses that turn out to have a
          lower glue than when they were learnt are promoted. *)
-      if !c.lbd > 2 then begin
-        let d = clause_lbd t !c in
-        if d < !c.lbd then !c.lbd <- d
+      if Cl.lbd cl > 2 then begin
+        let d = clause_lbd t cl in
+        if d < Cl.lbd cl then Cl.set_lbd cl d
       end
     end;
-    let lits = !c.lits in
     let start = if !p = -1 then 0 else 1 in
-    for idx = start to Array.length lits - 1 do
-      let q = lits.(idx) in
+    for idx = start to Cl.size cl - 1 do
+      let q = Cl.lit cl idx in
       let v = Lit.var q in
       if t.seen.(v) = 0 then begin
         if t.level.(v) > 0 then begin
@@ -696,10 +753,11 @@ let analyze t confl =
     t.seen.(Lit.var !p) <- 0;
     decr path_c;
     if !path_c <= 0 then continue := false
-    else
-      match t.reason.(Lit.var !p) with
-      | Some r -> c := r
-      | None -> continue := false (* decision reached; cannot precede the UIP *)
+    else begin
+      let r = t.reason.(Lit.var !p) in
+      if r != Cl.none then c := r
+      else continue := false (* decision reached; cannot precede the UIP *)
+    end
   done;
   (* Conflict-clause minimisation: drop every non-asserting literal whose
      reason chain is fully covered by the remaining clause (recursively, not
@@ -712,20 +770,19 @@ let analyze t confl =
     List.filter
       (fun q ->
         let v = Lit.var q in
-        match t.reason.(v) with
-        | None -> true
-        | Some r ->
-          if lit_redundant t abstract_levels premises to_clear q then begin
-            premises := r.cid :: !premises;
-            Array.iter
-              (fun l ->
-                let w = Lit.var l in
-                if w <> v && t.level.(w) = 0 then premises := var_marker w :: !premises)
-              r.lits;
-            t.minimised_lits <- t.minimised_lits + 1;
-            false
-          end
-          else true)
+        let r = t.reason.(v) in
+        if r == Cl.none then true
+        else if lit_redundant t abstract_levels premises to_clear q then begin
+          premises := Cl.id r :: !premises;
+          Cl.iter
+            (fun l ->
+              let w = Lit.var l in
+              if w <> v && t.level.(w) = 0 then premises := var_marker w :: !premises)
+            r;
+          t.minimised_lits <- t.minimised_lits + 1;
+          false
+        end
+        else true)
       !learnt_tail
   in
   let learnt = Lit.negate !p :: minimised in
@@ -741,8 +798,8 @@ let analyze t confl =
   (learnt, lbd, bj, Array.of_list !premises)
 
 let attach_clause t c =
-  Vec.push t.watches.(c.lits.(0)) { blocker = c.lits.(1); wcl = c };
-  Vec.push t.watches.(c.lits.(1)) { blocker = c.lits.(0); wcl = c }
+  watch t (Cl.lit c 0) (Cl.lit c 1) c;
+  watch t (Cl.lit c 1) (Cl.lit c 0) c
 
 let record_refutation t seeds =
   let core, failed = collect_refutation t seeds in
@@ -754,7 +811,50 @@ let mark_root_unsat t seeds =
   t.ok <- false
 
 let conflict_seeds confl =
-  confl.cid :: Array.fold_left (fun acc l -> var_marker (Lit.var l) :: acc) [] confl.lits
+  Cl.id confl :: Cl.fold (fun acc l -> var_marker (Lit.var l) :: acc) [] confl
+
+(* Allocate the next dense clause id, growing the per-cid arrays. *)
+let new_cid t info =
+  let cid = t.next_cid in
+  t.next_cid <- cid + 1;
+  let cap = Array.length t.cid_info in
+  if cid = cap then begin
+    let infos = Array.make (2 * cap) Imported and acts = Array.make (2 * cap) 0.0 in
+    Array.blit t.cid_info 0 infos 0 cap;
+    Array.blit t.cla_act 0 acts 0 cap;
+    t.cid_info <- infos;
+    t.cla_act <- acts
+  end;
+  t.cid_info.(cid) <- info;
+  cid
+
+(* Move up to two non-false literals into the watch positions, then attach
+   the clause, enqueue its unit or record the root conflict.  The
+   root-falsified literals stay in the clause so refutations remain
+   faithful. *)
+let install_root_clause t c =
+  let n = Cl.size c in
+  let free = ref 0 in
+  let i = ref 0 in
+  while !free < 2 && !i < n do
+    if lit_value t (Cl.lit c !i) <> 0 then begin
+      let tmp = Cl.lit c !free in
+      Cl.set_lit c !free (Cl.lit c !i);
+      Cl.set_lit c !i tmp;
+      incr free
+    end;
+    incr i
+  done;
+  if !free = 0 then
+    (* All literals false at root: unsatisfiable formula. *)
+    mark_root_unsat t (conflict_seeds c)
+  else if !free = 1 then begin
+    (* Unit at root level. *)
+    enqueue t (Cl.lit c 0) c;
+    let confl = propagate t in
+    if confl != Cl.none then mark_root_unsat t (conflict_seeds confl)
+  end
+  else attach_clause t c
 
 let add_clause ?(tag = -1) t lits =
   (* The listener sees the raw clause stream, pre-simplification and even
@@ -774,45 +874,14 @@ let add_clause ?(tag = -1) t lits =
           if Lit.var l >= t.nvars then
             invalid_arg "Solver.add_clause: undeclared variable")
         lits;
-      let cid = t.next_cid in
-      t.next_cid <- cid + 1;
-      Hashtbl.replace t.cid_info cid (Original tag);
-      let arr = Array.of_list lits in
-      let c =
-        { cid; lits = arr; learnt = false; activity = 0.0; lbd = 0; removed = false }
-      in
+      let c = Cl.make ~id:(new_cid t (Original tag)) ~learnt:false ~lbd:0 lits in
       Vec.push t.clauses c;
-      let n = Array.length arr in
-      (* Move up to two non-false literals into the watch positions; the
-         root-falsified literals stay in the clause so refutations remain
-         faithful. *)
-      let free = ref 0 in
-      let i = ref 0 in
-      while !free < 2 && !i < n do
-        if lit_value t arr.(!i) <> 0 then begin
-          let tmp = arr.(!free) in
-          arr.(!free) <- arr.(!i);
-          arr.(!i) <- tmp;
-          incr free
-        end;
-        incr i
-      done;
-      if !free = 0 then
-        (* All literals false at root: unsatisfiable formula. *)
-        mark_root_unsat t
-          (cid :: Array.fold_left (fun acc l -> var_marker (Lit.var l) :: acc) [] arr)
-      else if !free = 1 then begin
-        (* Unit at root level. *)
-        enqueue t arr.(0) (Some c);
-        match propagate t with
-        | None -> ()
-        | Some confl -> mark_root_unsat t (conflict_seeds confl)
-      end
-      else attach_clause t c
+      install_root_clause t c
     end
   end
 
-(* Approximate per-clause footprint (header + fields) in words, used by the
+(* Approximate per-clause footprint beyond the literals, in words (array
+   header, id and meta, activity slot, two watch entries), used by the
    learnt-DB memory budget. *)
 let clause_overhead = 8
 
@@ -821,28 +890,25 @@ let learn_clause t lits lbd premises =
   (match t.share_callback with
   | Some f -> if f ~lbd lits then t.shared_out <- t.shared_out + 1
   | None -> ());
-  let cid = t.next_cid in
-  t.next_cid <- cid + 1;
-  Hashtbl.replace t.cid_info cid (Learnt_from premises);
-  let arr = Array.of_list lits in
-  t.learnt_words <- t.learnt_words + Array.length arr + clause_overhead;
-  let c = { cid; lits = arr; learnt = true; activity = 0.0; lbd; removed = false } in
+  let c = Cl.make ~id:(new_cid t (Learnt_from premises)) ~learnt:true ~lbd lits in
+  let n = Cl.size c in
+  t.learnt_words <- t.learnt_words + n + clause_overhead;
   t.learnt_total <- t.learnt_total + 1;
   t.lbd_sum <- t.lbd_sum + lbd;
-  if Array.length arr > 1 then begin
+  Vec.push t.learnts c;
+  if n > 1 then begin
     (* Position 1 must hold the highest-level non-asserting literal so the
        watch invariant survives the backjump. *)
+    let level i = t.level.(Lit.var (Cl.lit c i)) in
     let best = ref 1 in
-    for i = 2 to Array.length arr - 1 do
-      if t.level.(Lit.var arr.(i)) > t.level.(Lit.var arr.(!best)) then best := i
+    for i = 2 to n - 1 do
+      if level i > level !best then best := i
     done;
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!best);
-    arr.(!best) <- tmp;
-    Vec.push t.learnts c;
+    let tmp = Cl.lit c 1 in
+    Cl.set_lit c 1 (Cl.lit c !best);
+    Cl.set_lit c !best tmp;
     attach_clause t c
-  end
-  else Vec.push t.learnts c;
+  end;
   bump_clause t c;
   c
 
@@ -862,37 +928,10 @@ let import_clause t lits =
     || List.exists (fun l -> lit_value t l = 1) lits
   then false
   else begin
-    let cid = t.next_cid in
-    t.next_cid <- cid + 1;
-    Hashtbl.replace t.cid_info cid Imported;
-    let arr = Array.of_list lits in
-    t.learnt_words <- t.learnt_words + Array.length arr + clause_overhead;
-    let c = { cid; lits = arr; learnt = true; activity = 0.0; lbd = 2; removed = false } in
-    (* Same watch discipline as [add_clause]: move up to two non-false
-       literals into the watch positions. *)
-    let n = Array.length arr in
-    let free = ref 0 in
-    let i = ref 0 in
-    while !free < 2 && !i < n do
-      if lit_value t arr.(!i) <> 0 then begin
-        let tmp = arr.(!free) in
-        arr.(!free) <- arr.(!i);
-        arr.(!i) <- tmp;
-        incr free
-      end;
-      incr i
-    done;
+    let c = Cl.make ~id:(new_cid t Imported) ~learnt:true ~lbd:2 lits in
+    t.learnt_words <- t.learnt_words + Cl.size c + clause_overhead;
     Vec.push t.learnts c;
-    if !free = 0 then
-      mark_root_unsat t
-        (cid :: Array.fold_left (fun acc l -> var_marker (Lit.var l) :: acc) [] arr)
-    else if !free = 1 then begin
-      enqueue t arr.(0) (Some c);
-      match propagate t with
-      | None -> ()
-      | Some confl -> mark_root_unsat t (conflict_seeds confl)
-    end
-    else attach_clause t c;
+    install_root_clause t c;
     true
   end
 
@@ -917,11 +956,7 @@ let pull_imports t =
   | None -> ()
   | Some f -> ignore (import_clauses t (f ()))
 
-let locked t c =
-  Array.length c.lits > 0
-  &&
-  let v = Lit.var c.lits.(0) in
-  (match t.reason.(v) with Some r -> r == c | None -> false)
+let locked t c = Cl.size c > 0 && t.reason.(Lit.var (Cl.lit c 0)) == c
 
 (* Learnt-clause database reduction, LBD-first (Glucose): the half of the
    database with the worst (highest) glue goes, ties broken by activity.
@@ -929,28 +964,27 @@ let locked t c =
    reasons are protected regardless of their rank. *)
 let reduce_db t =
   t.db_reductions <- t.db_reductions + 1;
-  let learnts = Vec.fold (fun acc c -> if c.removed then acc else c :: acc) [] t.learnts in
+  let learnts = Vec.fold (fun acc c -> if Cl.removed c then acc else c :: acc) [] t.learnts in
   let arr = Array.of_list learnts in
+  let act = t.cla_act in
   Array.sort
-    (fun (a : clause) (b : clause) ->
-      if a.lbd <> b.lbd then compare b.lbd a.lbd else compare a.activity b.activity)
+    (fun a b ->
+      if Cl.lbd a <> Cl.lbd b then compare (Cl.lbd b) (Cl.lbd a)
+      else Float.compare act.(Cl.id a) act.(Cl.id b))
     arr;
   let n = Array.length arr in
   let deleted = ref 0 in
   Array.iteri
     (fun i c ->
-      if
-        i < n / 2 && Array.length c.lits > 2 && c.lbd > 2 && not (locked t c)
-      then begin
-        c.removed <- true;
-        if t.proof_logging then
-          t.proof_steps <- Pdel (Array.to_list c.lits) :: t.proof_steps;
-        t.learnt_words <- t.learnt_words - (Array.length c.lits + clause_overhead);
+      if i < n / 2 && Cl.size c > 2 && Cl.lbd c > 2 && not (locked t c) then begin
+        Cl.set_removed c;
+        if t.proof_logging then t.proof_steps <- Pdel (Cl.lits c) :: t.proof_steps;
+        t.learnt_words <- t.learnt_words - (Cl.size c + clause_overhead);
         incr deleted
       end)
     arr;
   t.deleted_total <- t.deleted_total + !deleted;
-  Vec.filter_in_place (fun (c : clause) -> not c.removed) t.learnts;
+  Vec.filter_in_place (fun c -> not (Cl.removed c)) t.learnts;
   (* If protection kept most of the database, allow it to grow so reduction
      does not retrigger on every conflict. *)
   t.max_learnts <- t.max_learnts *. 1.1
@@ -1004,8 +1038,8 @@ let search t conflict_budget =
   let conflicts = ref 0 in
   let n_assumptions = Array.length t.assumptions in
   while true do
-    match propagate t with
-    | Some confl ->
+    let confl = propagate t in
+    if confl != Cl.none then begin
       t.conflicts <- t.conflicts + 1;
       incr conflicts;
       if t.conflicts land 1023 = 0 && Obs.enabled () then sample_counters t;
@@ -1045,13 +1079,14 @@ let search t conflict_budget =
         cancel_until t (max bj 0);
         let c = learn_clause t learnt lbd premises in
         (match learnt with
-        | asserting :: _ -> enqueue t asserting (Some c)
+        | asserting :: _ -> enqueue t asserting c
         | [] -> ());
         t.var_inc <- t.var_inc *. t.var_decay_inv;
         t.cla_inc <- t.cla_inc *. cla_decay;
         if float_of_int (Vec.size t.learnts) >= t.max_learnts then reduce_db t
       end
-    | None ->
+    end
+    else begin
       (match t.stop with
       | Some flag when Atomic.get flag ->
         cancel_until t 0;
@@ -1074,7 +1109,7 @@ let search t conflict_budget =
           raise (Found Unsat)
         | _ ->
           new_decision_level t;
-          enqueue t p None
+          enqueue t p Cl.none
       end
       else begin
         let v = pick_branch_var t in
@@ -1087,9 +1122,10 @@ let search t conflict_budget =
               not t.phase.(v)
             else t.phase.(v)
           in
-          enqueue t (Lit.of_var v ph) None
+          enqueue t (Lit.of_var v ph) Cl.none
         end
       end
+    end
   done
 
 let solve ?(assumptions = []) t =
@@ -1151,7 +1187,7 @@ let solve ?(assumptions = []) t =
 
 let export_clauses t =
   let acc = ref [] in
-  Vec.iter (fun (c : clause) -> acc := Array.to_list c.lits :: !acc) t.clauses;
+  Vec.iter (fun c -> acc := Cl.lits c :: !acc) t.clauses;
   List.rev !acc
 
 let value_var t v = v < Array.length t.model && t.model.(v) = 1
@@ -1165,9 +1201,9 @@ let unsat_core_tags t =
   let tags =
     List.filter_map
       (fun cid ->
-        match Hashtbl.find_opt t.cid_info cid with
-        | Some (Original tag) when tag >= 0 -> Some tag
-        | Some (Original _) | Some (Learnt_from _) | Some Imported | None -> None)
+        match t.cid_info.(cid) with
+        | Original tag when tag >= 0 -> Some tag
+        | Original _ | Learnt_from _ | Imported -> None)
       t.last_core
   in
   List.sort_uniq compare tags

@@ -14,7 +14,24 @@
     Clauses may carry an integer [tag]; {!unsat_core_tags} reports the
     distinct tags present in the refutation.  The BMC layers tag clauses with
     latch and memory-port identifiers so that cores translate directly into
-    latch reasons (Fig. 1 line 11). *)
+    latch reasons (Fig. 1 line 11).
+
+    Data layout.  The clause database is unboxed, so propagation touches as
+    few words and the GC scans as few pointers as possible:
+
+    - a clause is one [int array], [[|cid; meta; lit0; lit1; ...|]]: its
+      dense clause id, then [meta] packing the LBD, the learnt flag and the
+      removed flag, then the literals, the two watched ones first.
+      Learnt-clause activity lives in a float array indexed by clause id,
+      and so does the refutation bookkeeping (tag or premises);
+    - each literal's watch list is two parallel arrays, blocker literals
+      and clauses, allocated at the list's first push;
+    - the reason of each variable is a clause, with one shared empty array
+      standing for "no reason", so an assignment allocates nothing.
+
+    A learnt clause dropped by DB reduction is only flagged removed; its
+    watches disappear the next time propagation visits them and the GC
+    reclaims the array.  There is no arena and no compaction pass. *)
 
 type t
 

@@ -1076,7 +1076,14 @@ module Server = struct
           | Error msg -> reject msg
           | Ok props ->
             let n = List.length props in
-            if st.queued + n > st.cfg.max_queue then begin
+            if n > st.cfg.max_queue then
+              (* Never fits, however long the caller waits: not [busy]. *)
+              reject
+                (Printf.sprintf
+                   "submission expands to %d properties but max_queue is %d; \
+                    submit them in groups of at most %d"
+                   n st.cfg.max_queue st.cfg.max_queue)
+            else if st.queued + n > st.cfg.max_queue then begin
               (* Explicit backpressure: the daemon never buffers beyond
                  [max_queue] — the caller retries or backs off. *)
               st.m.rejected_busy <- st.m.rejected_busy + 1;
@@ -1655,15 +1662,24 @@ module Server = struct
 
   (* {2 The loop} *)
 
+  (* A live daemon answers a ping; a stale file left by a dead one is safe
+     to replace.  A bare connect is no proof of life: a worker that a
+     SIGKILLed daemon was forking can hold the inherited listening socket
+     for a moment longer, and connects then succeed into a backlog nobody
+     accepts from. *)
+  let answers_ping path =
+    match Client.connect ~timeout_s:5.0 path with
+    | Error _ -> false
+    | Ok c ->
+      let r = Client.request ~timeout_s:5.0 c Proto.Ping in
+      Client.close c;
+      (match r with Ok Proto.Pong -> true | Ok _ | Error _ -> false)
+
   let bind_socket cfg =
     if Sys.file_exists cfg.socket then begin
-      (* A live daemon answers a connect; a stale file left by a dead one
-         refuses it and is safe to replace. *)
-      match Client.connect cfg.socket with
-      | Ok c ->
-        Client.close c;
-        failwith (Printf.sprintf "socket %s is already served by a live daemon" cfg.socket)
-      | Error _ -> ( try Sys.remove cfg.socket with Sys_error _ -> ())
+      if answers_ping cfg.socket then
+        failwith (Printf.sprintf "socket %s is already served by a live daemon" cfg.socket);
+      try Sys.remove cfg.socket with Sys_error _ -> ()
     end;
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind fd (Unix.ADDR_UNIX cfg.socket);

@@ -13,7 +13,8 @@
 
     - a {b bounded job queue} with explicit backpressure: when the queue is
       full a [submit] gets an immediate [busy] reply — the daemon never
-      buffers without bound;
+      buffers without bound; a [submit] with more properties than the
+      bound gets a non-retryable [error] naming both numbers;
     - {b per-client fairness}: queued jobs are organized per client id and
       dispatched round-robin across clients, so a flooding tenant cannot
       starve the others;
@@ -187,7 +188,9 @@ module Server : sig
   type config = {
     socket : string;
     workers : int;  (** concurrent forked jobs *)
-    max_queue : int;  (** queued-job bound; beyond it submissions get [busy] *)
+    max_queue : int;
+        (** queued-job bound; beyond it submissions get [busy], and a
+            submission larger than the bound itself gets [error] *)
     cache_dir : string option;  (** [None] disables the result cache *)
     gc_policy : Vcache.gc_policy;
     gc_interval_s : float;  (** seconds between {!Vcache.maintain} runs *)

@@ -116,6 +116,92 @@ let test_no_race_when_unreachable () =
   Alcotest.(check bool) "exclusive enables never race" true
     (Emm.find_data_race ~max_depth:4 net = None)
 
+(* [memory_mb] is the process's peak major heap: never below the heap read
+   right after the run, nor below a peak the process reached before it, even
+   when that earlier heap has been freed (and, on runtimes that compact,
+   returned to the system). *)
+let test_memory_is_peak () =
+  let heap_mb words = float_of_int (words * 8) /. 1e6 in
+  let garbage = ref (List.init 1_000_000 Fun.id) in
+  let peak_before = heap_mb (Gc.quick_stat ()).Gc.top_heap_words in
+  garbage := [];
+  Gc.compact ();
+  let net = Designs.Fifo.build ~buggy:true Designs.Fifo.default_config in
+  let o = Emmver.verify ~options:(options 8) ~method_:Emmver.Emm_bmc net ~property:"fifo_data" in
+  let heap_after = heap_mb (Gc.quick_stat ()).Gc.heap_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "memory_mb %.1f >= heap after the run %.1f" o.Emmver.memory_mb heap_after)
+    true (o.Emmver.memory_mb >= heap_after);
+  Alcotest.(check bool)
+    (Printf.sprintf "memory_mb %.1f >= earlier peak %.1f" o.Emmver.memory_mb peak_before)
+    true (o.Emmver.memory_mb >= peak_before)
+
+(* A traced verify on the real clock: the JSON-lines rows carry distinct
+   timestamps, and every span lasts as long in the JSON-lines export as in
+   the Chrome one, to within a microsecond. *)
+let test_trace_time_resolution () =
+  let r = Obs.create () in
+  let saved = Obs.current () in
+  Obs.set_current (Some r);
+  Fun.protect
+    ~finally:(fun () -> Obs.set_current saved)
+    (fun () ->
+      let net = Designs.Fifo.build ~buggy:true Designs.Fifo.default_config in
+      ignore (Emmver.verify ~options:(options 8) ~method_:Emmver.Emm_bmc net ~property:"fifo_data"));
+  let export fmt =
+    let b = Buffer.create 65536 in
+    Obs.export fmt b (Obs.rows r);
+    Buffer.contents b
+  in
+  let parse s =
+    match Obs.Json.parse s with Ok j -> j | Error why -> Alcotest.failf "bad JSON: %s" why
+  in
+  let num key ev =
+    match Obs.Json.member key ev with
+    | Some (Obs.Json.Num x) -> x
+    | _ -> Alcotest.failf "event without numeric %S" key
+  in
+  let ph ev = match Obs.Json.member "ph" ev with Some (Obs.Json.Str p) -> p | _ -> "" in
+  (* Span durations in row order of their Begin, paired per pid by nesting. *)
+  let durations scale events =
+    let stacks = Hashtbl.create 4 and out = ref [] and n = ref 0 in
+    List.iter
+      (fun ev ->
+        let pid = num "pid" ev and ts = num "ts" ev *. scale in
+        let stack = Option.value ~default:[] (Hashtbl.find_opt stacks pid) in
+        match (ph ev, stack) with
+        | "B", _ ->
+          Hashtbl.replace stacks pid ((!n, ts) :: stack);
+          incr n
+        | "E", (i, t0) :: rest ->
+          Hashtbl.replace stacks pid rest;
+          out := (i, ts -. t0) :: !out
+        | _ -> ())
+      events;
+    List.map snd (List.sort compare !out)
+  in
+  let jsonl =
+    List.map parse (List.filter (( <> ) "") (String.split_on_char '\n' (export Obs.Jsonl)))
+  in
+  let chrome =
+    match Obs.Json.member "traceEvents" (parse (export Obs.Chrome)) with
+    | Some (Obs.Json.Arr evs) -> evs
+    | _ -> Alcotest.fail "no traceEvents"
+  in
+  let distinct = List.sort_uniq compare (List.map (num "ts") jsonl) in
+  Alcotest.(check bool)
+    (Printf.sprintf "distinct jsonl timestamps (%d)" (List.length distinct))
+    true
+    (List.length distinct > 1);
+  let dj = durations 1e6 jsonl and dc = durations 1.0 chrome in
+  Alcotest.(check bool) "some spans" true (dj <> []);
+  Alcotest.(check int) "same spans" (List.length dj) (List.length dc);
+  List.iter2
+    (fun a b ->
+      if Float.abs (a -. b) > 1.0 then
+        Alcotest.failf "span lasts %.3f us in jsonl, %.3f us in chrome" a b)
+    dj dc
+
 let () =
   Alcotest.run "emmver"
     [
@@ -132,5 +218,7 @@ let () =
           Alcotest.test_case "no race single port" `Quick test_no_race_single_port;
           Alcotest.test_case "no race when unreachable" `Quick
             test_no_race_when_unreachable;
+          Alcotest.test_case "memory is the peak heap" `Quick test_memory_is_peak;
+          Alcotest.test_case "trace time resolution" `Quick test_trace_time_resolution;
         ] );
     ]

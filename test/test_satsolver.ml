@@ -381,6 +381,35 @@ let test_stats_sanity () =
      ignore (Solver.solve s);
      (Solver.stats s).Solver.conflicts >= before)
 
+(* php(8,7) with proof logging, pinned to the counts of BENCH_solver.json's
+   php-8-7 row.  The search is deterministic, so any change to propagation
+   order, watch-list order, learnt-clause layout or DB-reduction ranking
+   moves at least one of these numbers.  It is also the one instance here
+   whose proof carries real deletions from DB reduction, which the DRAT
+   checker must accept. *)
+let test_php_8_7_pinned () =
+  let clauses = pigeonhole_clauses 8 7 in
+  let s = Solver.create () in
+  Solver.set_proof_logging s true;
+  Solver.ensure_vars s 56;
+  List.iter (Solver.add_clause s) clauses;
+  Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
+  let st = Solver.stats s in
+  Alcotest.(check int) "conflicts" 6096 st.Solver.conflicts;
+  Alcotest.(check int) "decisions" 7481 st.Solver.decisions;
+  Alcotest.(check int) "propagations" 87056 st.Solver.propagations;
+  Alcotest.(check int) "learnt" 6095 st.Solver.learnt_clauses;
+  Alcotest.(check int) "deleted" 4723 st.Solver.deleted_clauses;
+  let proof = Solver.proof s in
+  let dels = List.length (List.filter (function Solver.Pdel _ -> true | Solver.Padd _ -> false) proof) in
+  Alcotest.(check int) "one Pdel per deleted clause" 4723 dels;
+  Alcotest.(check int) "one Padd per learnt clause" 6095 (List.length proof - dels);
+  match
+    Cert.Drat.check ~num_vars:56 ~original:clauses ~proof ~obligations:[ [] ] ()
+  with
+  | Cert.Drat.Valid r -> Alcotest.(check int) "steps replayed" (List.length proof) r.Cert.Drat.steps
+  | Cert.Drat.Invalid why -> Alcotest.fail ("DRAT check: " ^ why)
+
 (* {2 Property tests} *)
 
 let gen_clauses num_vars =
@@ -490,6 +519,8 @@ let () =
           Alcotest.test_case "random 3-sat vs dpll oracle" `Quick
             test_random_3sat_vs_dpll;
           Alcotest.test_case "stats sanity" `Quick test_stats_sanity;
+          Alcotest.test_case "php(8,7) pinned counters and DRAT" `Quick
+            test_php_8_7_pinned;
         ] );
       ("property", qsuite);
     ]

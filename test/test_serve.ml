@@ -422,18 +422,27 @@ let spawn_daemon cfg =
     Unix._exit 0
   | pid -> pid
 
-(* Readiness by connecting, not by the socket file existing: after a
-   SIGKILL the stale socket file lingers, and the restarted daemon only
-   accepts once it has replaced it. *)
+(* Readiness by a ping round trip, not by the socket file existing or by a
+   bare connect: after a SIGKILL the stale socket file lingers, a worker
+   the dead daemon was forking can briefly keep its listening socket
+   accepting connects, and the restarted daemon only answers once it has
+   replaced the file. *)
 let wait_ready socket =
   let rec go n =
     if n = 0 then Alcotest.fail "daemon never became ready"
     else
-      match Serve.Client.connect ~timeout_s:2.0 socket with
-      | Ok c -> Serve.Client.close c
-      | Error _ ->
+      let ready =
+        match Serve.Client.connect ~timeout_s:2.0 socket with
+        | Error _ -> false
+        | Ok c ->
+          let r = Serve.Client.request ~timeout_s:2.0 c Serve.Proto.Ping in
+          Serve.Client.close c;
+          (match r with Ok Serve.Proto.Pong -> true | Ok _ | Error _ -> false)
+      in
+      if not ready then begin
         Unix.sleepf 0.02;
         go (n - 1)
+      end
   in
   go 500
 
@@ -487,10 +496,31 @@ let connect ?client socket =
   | Ok c -> c
   | Error e -> Alcotest.failf "connect: %s" e
 
+(* A named connection gets each of its jobs' results the moment the job
+   finishes, so a result can arrive ahead of the reply to a request.
+   [request] sets such results aside, per connection, for [read_result]. *)
+let early_results : (Serve.Client.t * Serve.Proto.result_line) list ref = ref []
+
 let request c req =
-  match Serve.Client.request ~timeout_s:30.0 c req with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "request: %s" e
+  (match Serve.Client.send c req with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "request: %s" e);
+  let rec reply () =
+    match Serve.Client.read_reply ~timeout_s:30.0 c with
+    | Ok (Serve.Proto.Result r) ->
+      early_results := (c, r) :: !early_results;
+      reply ()
+    | Ok r -> r
+    | Error e -> Alcotest.failf "request: %s" e
+  in
+  reply ()
+
+(* Remove and return the results [request] set aside for [c], oldest
+   first. *)
+let take_early_results c =
+  let mine, others = List.partition (fun (c', _) -> c' == c) !early_results in
+  early_results := others;
+  List.rev_map snd mine
 
 let submit_one ?(id = "job") ?(property = "fifo_data") c =
   match
@@ -516,7 +546,11 @@ let read_result c =
     | Ok _ -> go ()
     | Error e -> Alcotest.failf "read_result: %s" e
   in
-  go ()
+  match take_early_results c with
+  | r :: rest ->
+    early_results := List.rev_map (fun r -> (c, r)) rest @ !early_results;
+    r
+  | [] -> go ()
 
 let metrics c =
   match request c Serve.Proto.Metrics with
@@ -605,6 +639,39 @@ let test_backpressure () =
       let m = metrics c in
       Alcotest.(check int) "busy rejection counted" 1 m.Serve.Proto.m_rejected_busy;
       Alcotest.(check int) "nothing extra queued" 2 m.Serve.Proto.m_queue_depth;
+      Serve.Client.close c)
+
+(* A submission with more properties than max_queue can never be admitted:
+   it gets a non-retryable error naming both numbers, not a [busy] the
+   client would retry forever. *)
+let test_oversized_submission () =
+  with_server ~workers:1 ~max_queue:1 ~runner:scripted (fun ~socket ~pid:_ ->
+      let c = connect ~client:"big" socket in
+      (match
+         request c
+           (Serve.Proto.Submit
+              {
+                Serve.Proto.s_id = "whole-design";
+                s_design = "fifo";
+                s_property = None;
+                s_method = "emm";
+                s_max_depth = None;
+                s_timeout_s = None;
+                s_cache = None;
+              })
+       with
+      | Serve.Proto.Error { id; message } ->
+        Alcotest.(check (option string)) "echoed id" (Some "whole-design") id;
+        Alcotest.(check string) "names both numbers"
+          "submission expands to 2 properties but max_queue is 1; submit them in \
+           groups of at most 1"
+          message
+      | r -> Alcotest.failf "expected error: %s" (Serve.Proto.reply_to_string r));
+      let m = metrics c in
+      Alcotest.(check int) "not counted as busy" 0 m.Serve.Proto.m_rejected_busy;
+      Alcotest.(check int) "nothing queued" 0 m.Serve.Proto.m_queue_depth;
+      (* A submission that fits is still accepted. *)
+      ignore (submit_one ~id:"sleep:0.1" c);
       Serve.Client.close c)
 
 let test_fairness () =
@@ -800,14 +867,17 @@ let resume_collect ?(attempts = 150) socket tenant want =
         want
     else begin
       let c = connect ~client:tenant socket in
+      let collect (r : Serve.Proto.result_line) =
+        if not (Hashtbl.mem got r.Serve.Proto.r_job) then
+          Hashtbl.replace got r.Serve.Proto.r_job r;
+        ignore (Serve.Client.send c (Serve.Proto.Ack r.Serve.Proto.r_job))
+      in
       (match request c (Serve.Proto.Resume tenant) with
       | Serve.Proto.Resumed { results; _ } ->
+        List.iter collect (take_early_results c);
         for _ = 1 to results do
           match Serve.Client.read_reply ~timeout_s:30.0 c with
-          | Ok (Serve.Proto.Result r) ->
-            if not (Hashtbl.mem got r.Serve.Proto.r_job) then
-              Hashtbl.replace got r.Serve.Proto.r_job r;
-            ignore (Serve.Client.send c (Serve.Proto.Ack r.Serve.Proto.r_job))
+          | Ok (Serve.Proto.Result r) -> collect r
           | Ok _ -> ()
           | Error e -> Alcotest.failf "resume stream: %s" e
         done
@@ -944,6 +1014,8 @@ let () =
             test_concurrent_clients;
           Alcotest.test_case "queue-full submissions get busy" `Quick
             test_backpressure;
+          Alcotest.test_case "oversized submissions get a non-retryable error"
+            `Quick test_oversized_submission;
           Alcotest.test_case "round-robin fairness under a flooding tenant"
             `Quick test_fairness;
           Alcotest.test_case "worker crash is contained to its job" `Quick
