@@ -371,7 +371,7 @@ let add_common b ~ph ~name ~ts ~pid =
   Buffer.add_string b "\",\"name\":";
   add_str b name;
   Buffer.add_string b ",\"ts\":";
-  if Float.is_integer ts && Float.abs ts < 1e15 then add_num b ts
+  if Float.is_integer ts then add_num b ts
   else Buffer.add_string b (Printf.sprintf "%.6f" ts);
   Buffer.add_string b ",\"pid\":";
   Buffer.add_string b (string_of_int pid);

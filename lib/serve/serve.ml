@@ -1662,22 +1662,34 @@ module Server = struct
 
   (* {2 The loop} *)
 
-  (* A live daemon answers a ping; a stale file left by a dead one is safe
-     to replace.  A bare connect is no proof of life: a worker that a
-     SIGKILLed daemon was forking can hold the inherited listening socket
-     for a moment longer, and connects then succeed into a backlog nobody
-     accepts from. *)
-  let answers_ping path =
-    match Client.connect ~timeout_s:5.0 path with
-    | Error _ -> false
-    | Ok c ->
-      let r = Client.request ~timeout_s:5.0 c Proto.Ping in
-      Client.close c;
-      (match r with Ok Proto.Pong -> true | Ok _ | Error _ -> false)
+  (* Whether a daemon still serves [path].  A refused connect means a stale
+     file left by a dead daemon.  Anything else is live unless the
+     connection is closed or reset before any reply: that is a worker of a
+     SIGKILLed daemon holding the inherited listening socket, which it
+     closes first thing.  A daemon that is draining or replaying its
+     journal accepts nothing for a while, so its ping goes unanswered; a
+     ping timeout therefore counts as live. *)
+  let socket_is_live path =
+    match Client.connect_fd ~timeout_s:5.0 path with
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) -> false
+    | exception Unix.Unix_error _ -> true
+    | fd ->
+      let live =
+        try
+          write_all fd (Proto.request_to_string Proto.Ping ^ "\n");
+          match retry_eintr (fun () -> Unix.select [ fd ] [] [] 5.0) with
+          | [], _, _ -> true
+          | _ -> Unix.read fd (Bytes.create 1) 0 1 > 0
+        with
+        | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
+        | Unix.Unix_error _ -> true
+      in
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      live
 
   let bind_socket cfg =
     if Sys.file_exists cfg.socket then begin
-      if answers_ping cfg.socket then
+      if socket_is_live cfg.socket then
         failwith (Printf.sprintf "socket %s is already served by a live daemon" cfg.socket);
       try Sys.remove cfg.socket with Sys_error _ -> ()
     end;
@@ -1812,8 +1824,6 @@ module Server = struct
         flush_conn c;
         try Unix.close c.fd with Unix.Unix_error _ -> ())
       st.conns;
-    (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
-    (try Sys.remove cfg.socket with Sys_error _ -> ());
     (match st.jnl with
     | Some jn ->
       (* Leave the smallest correct journal behind: drained state, no
@@ -1821,6 +1831,10 @@ module Server = struct
       (try Journal.compact jn with _ -> ());
       Journal.close jn
     | None -> ());
+    (* Journal and socket file go before the listening socket: a successor
+       waiting on it sees the reset only once they are no longer ours. *)
+    (try Sys.remove cfg.socket with Sys_error _ -> ());
+    (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
     Sys.set_signal Sys.sigterm old_term;
     Sys.set_signal Sys.sigint old_int;
     log st "drained: %d completed, %d failed, %d cancelled, %d cache hits"

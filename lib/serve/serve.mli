@@ -236,8 +236,10 @@ module Server : sig
   val run : config -> unit
   (** Bind the socket and serve until a graceful drain completes.  Installs
       SIGTERM/SIGINT handlers (drain) and ignores SIGPIPE.  Raises
-      [Failure] if the socket path is already served by a live daemon;
-      a stale socket file left by a dead one is replaced.
+      [Failure] if the socket path is already served by a live daemon,
+      one that is draining or replaying its journal included; a stale
+      socket file left by a dead one (the connect is refused, or reset
+      before any reply) is replaced.
 
       With [config.journal] set, [run] first replays the journal: orphaned
       workers of a dead incarnation are token-checked and SIGKILLed,

@@ -800,6 +800,65 @@ let test_sigterm_drain () =
         Alcotest.fail "daemon killed, not drained");
       Serve.Client.close c)
 
+(* A draining daemon accepts no connections, but it still owns its socket
+   and journal: a second daemon started on the same socket must refuse to
+   start, not take the socket over. *)
+let test_no_takeover_while_draining () =
+  with_server ~workers:1 ~runner:scripted (fun ~socket ~pid ->
+      let c = connect ~client:"drain" socket in
+      let j = submit_one ~id:"sleep:12" c in
+      wait_state c j "running";
+      Unix.kill pid Sys.sigterm;
+      let rec wait_draining n =
+        if n = 0 then Alcotest.fail "daemon never started draining"
+        else
+          match
+            request c
+              (Serve.Proto.Submit
+                 {
+                   Serve.Proto.s_id = "probe";
+                   s_design = "fifo";
+                   s_property = Some "fifo_data";
+                   s_method = "emm";
+                   s_max_depth = Some 5;
+                   s_timeout_s = None;
+                   s_cache = None;
+                 })
+          with
+          | Serve.Proto.Shutdown_reply { job = None; _ } -> ()
+          | _ ->
+            Unix.sleepf 0.05;
+            wait_draining (n - 1)
+      in
+      wait_draining 100;
+      let second =
+        spawn_daemon
+          (Serve.Server.config ~workers:1 ~quiet:true ~runner:scripted ~socket ())
+      in
+      let rec wait_exit n =
+        match Unix.waitpid [ Unix.WNOHANG ] second with
+        | 0, _ when n = 0 ->
+          (try Unix.kill second Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] second);
+          Alcotest.fail "second daemon took over a draining daemon's socket"
+        | 0, _ ->
+          Unix.sleepf 0.05;
+          wait_exit (n - 1)
+        | _, status -> status
+      in
+      (match wait_exit 400 with
+      | Unix.WEXITED 1 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "second daemon exited %d" n
+      | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.fail "second daemon killed");
+      Alcotest.(check bool) "socket file kept" true (Sys.file_exists socket);
+      (* The first daemon finishes its drain undisturbed. *)
+      let r = read_result c in
+      Alcotest.(check int) "running job delivered" j r.Serve.Proto.r_job;
+      (match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _, _ -> Alcotest.fail "first daemon did not drain cleanly");
+      Serve.Client.close c)
+
 let test_budget_clamp () =
   (* The server clamps submissions to its policy ceilings; the runner seam
      observes the clamped options. *)
@@ -1026,6 +1085,8 @@ let () =
             test_warm_cache;
           Alcotest.test_case "SIGTERM drains gracefully" `Quick
             test_sigterm_drain;
+          Alcotest.test_case "no second daemon on a draining daemon's socket"
+            `Quick test_no_takeover_while_draining;
           Alcotest.test_case "submissions are clamped to policy budgets" `Quick
             test_budget_clamp;
           Alcotest.test_case "unacked results survive for resume" `Quick
