@@ -18,13 +18,6 @@ let only = ref None
 let out_file = ref "BENCH_solver.json"
 let trace_out = ref None
 
-(* [--domains N] runs every matrix SAT query over an in-process Domain
-   portfolio of N diversified CDCL instances (lib/portfolio); [--no-share]
-   disables the learnt-clause exchange between them.  Orthogonal to [-j],
-   which forks whole table cells. *)
-let domains = ref 1
-let no_share = ref false
-
 (* [--cache-dir DIR] (solver-json only): run the matrix with the persistent
    verification-result cache rooted at DIR; each row then records whether it
    was solved or served ("cache": off/miss/hit).  The cold-vs-warm sweep
@@ -566,91 +559,62 @@ let json_row ~design ~property ~method_ ~verdict ~time_s ~solve_time_s
      "certificate": %S, "proof_steps": %d, "cache": %S,
      "conflicts": %d, "decisions": %d,
      "propagations": %d, "restarts": %d, "learnt": %d, "deleted": %d,
-     "minimised_lits": %d, "avg_lbd": %.2f,
-     "shared_out": %d, "shared_in": %d}|}
+     "minimised_lits": %d, "avg_lbd": %.2f}|}
     design property method_ verdict time_s solve_time_s encode_time_s num_vars
     num_clauses vars_saved clauses_saved certificate proof_steps cache
     s.Satsolver.Solver.conflicts
     s.decisions s.propagations s.restarts s.learnt_clauses s.deleted_clauses
-    s.minimised_lits s.avg_lbd s.shared_out s.shared_in
+    s.minimised_lits s.avg_lbd
 
-(* {2 Baseline comparison (--baseline FILE)}
+(* {2 Baseline comparison (--baseline FILE)} *)
 
-   A hand-rolled reader for the BENCH_solver.json format written below: we
-   only need the (design, property, method) -> verdict map, and we wrote the
-   file ourselves, so substring scanning is enough. *)
-
-let find_sub s pat from =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = pat then Some i
-    else go (i + 1)
-  in
-  go from
-
-let json_string_field chunk name =
-  let pat = Printf.sprintf "\"%s\": \"" name in
-  match find_sub chunk pat 0 with
-  | None -> None
-  | Some i ->
-    let start = i + String.length pat in
-    String.index_from_opt chunk start '"'
-    |> Option.map (fun stop -> String.sub chunk start (stop - start))
-
-let json_float_field chunk name =
-  let pat = Printf.sprintf "\"%s\": " name in
-  match find_sub chunk pat 0 with
-  | None -> None
-  | Some i ->
-    let start = i + String.length pat in
-    let stop = ref start in
-    let n = String.length chunk in
-    while
-      !stop < n
-      && (match chunk.[!stop] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.sub chunk start (!stop - start))
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let verdict_class v =
   if String.length v >= 6 && String.sub v 0 6 = "proved" then `Proved
   else if String.length v >= 9 && String.sub v 0 9 = "falsified" then `Falsified
   else `Inconclusive
 
-let baseline_verdicts file =
+(* A BENCH_solver.json file's (design, property, method) -> verdict map, read
+   from its "rows", and its summed matrix CPU time ("parallel".matrix_cpu_s)
+   for the tracing-off overhead gate.  Read before the run: the baseline may
+   be the very file the run overwrites. *)
+let read_baseline file =
   if not (Sys.file_exists file) then begin
     Format.eprintf "baseline file %s does not exist@." file;
     exit 2
   end;
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  (* Split the row array on the opening brace of each object. *)
-  let rec chunks from acc =
-    match String.index_from_opt s from '{' with
-    | None -> List.rev acc
-    | Some i ->
-      let stop =
-        match String.index_from_opt s (i + 1) '}' with
-        | Some j -> j
-        | None -> String.length s - 1
-      in
-      chunks (stop + 1) (String.sub s i (stop - i + 1) :: acc)
+  let json =
+    match Obs.Json.parse (read_file file) with
+    | Ok json -> json
+    | Error why ->
+      Format.eprintf "baseline file %s: %s@." file why;
+      exit 2
   in
-  List.filter_map
-    (fun chunk ->
-      match
-        ( json_string_field chunk "design",
-          json_string_field chunk "property",
-          json_string_field chunk "method",
-          json_string_field chunk "verdict" )
-      with
-      | Some d, Some p, Some m, Some v -> Some ((d, p, m), v)
-      | _ -> None)
-    (chunks 0 [])
+  let str key row =
+    match Obs.Json.member key row with Some (Obs.Json.Str s) -> Some s | _ -> None
+  in
+  let rows =
+    match Obs.Json.member "rows" json with Some (Obs.Json.Arr rows) -> rows | _ -> []
+  in
+  let verdicts =
+    List.filter_map
+      (fun row ->
+        match (str "design" row, str "property" row, str "method" row, str "verdict" row) with
+        | Some d, Some p, Some m, Some v -> Some ((d, p, m), v)
+        | _ -> None)
+      rows
+  in
+  let matrix_cpu_s =
+    match Option.bind (Obs.Json.member "parallel" json) (Obs.Json.member "matrix_cpu_s") with
+    | Some (Obs.Json.Num s) -> Some s
+    | _ -> None
+  in
+  (verdicts, matrix_cpu_s)
 
 (* Fail (exit 3) if any design/property/method row that was conclusive in
    the baseline file became inconclusive — the CI regression gate. *)
@@ -677,35 +641,23 @@ let check_against_baseline ~name ~old rows =
       regressions;
     exit 3
 
-(* The committed baseline's summed matrix CPU time, for the tracing-off
-   overhead gate. *)
-let baseline_matrix_cpu_s file =
-  if not (Sys.file_exists file) then None
-  else begin
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    json_float_field s "matrix_cpu_s"
-  end
-
 let baseline = ref None
 
 (* With [--only d1,d2] every section is restricted to rows whose design
    name contains one of the given substrings — the verification matrix and
-   also the raw-SAT ("php-7-6"...), cache, serve and portfolio sweeps. *)
+   also the raw-SAT ("php-7-6"...), cache and serve sweeps. *)
 let matrix_selected design =
+  let contains pat =
+    let n = String.length design and m = String.length pat in
+    let rec go i = i + m <= n && (String.sub design i m = pat || go (i + 1)) in
+    go 0
+  in
   match !only with
   | None -> true
-  | Some pats ->
-    List.exists (fun p -> find_sub design p 0 <> None)
-      (List.map String.trim (String.split_on_char ',' pats))
+  | Some pats -> List.exists contains (List.map String.trim (String.split_on_char ',' pats))
 
 let copy_file src dst =
-  let ic = open_in_bin src in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
+  let data = read_file src in
   let oc = open_out_bin dst in
   output_string oc data;
   close_out oc
@@ -730,53 +682,6 @@ let export_largest_proof () =
       copy_file path "BENCH_largest.drat";
       Format.printf "largest proof: %s (%d bytes) -> BENCH_largest.drat@." path size
     | None -> ()
-
-(* In-process Domain portfolio sweep on the headline proof row
-   (quicksort-n3 P1): domains x sharing, honest wall-clock plus the
-   exchange counters.  On a single-core host the domains timeshare, so
-   wall grows with N — the counters (and the verdict agreement) are the
-   point there; the wall comparison only becomes meaningful with
-   [host_cores >= domains].  Runs at a scaled-down depth unless
-   [--full]. *)
-let domain_sweep () =
-  let depth = if !full then 60 else 24 in
-  let net = (Designs.Registry.find "quicksort-n3").Designs.Registry.build () in
-  Format.printf "@.domain portfolio sweep: quicksort-n3 P1 (depth %d, %d host cores)@."
-    depth
-    (Domain.recommended_domain_count ());
-  Format.printf "%-8s %-6s %-24s %8s %10s %11s %10s@." "domains" "share" "verdict"
-    "wall" "conflicts" "shared-out" "shared-in";
-  List.map
-    (fun (d, share) ->
-      let options =
-        {
-          Emmver.default_options with
-          max_depth = depth;
-          timeout_s = Some !timeout;
-          domains = d;
-          share_clauses = share;
-        }
-      in
-      let o, wall_s =
-        time (fun () -> Emmver.verify ~options ~method_:Emmver.Emm_bmc net ~property:"P1")
-      in
-      let verdict = Format.asprintf "%a" Emmver.pp_conclusion o.Emmver.conclusion in
-      let verdict =
-        match String.index_opt verdict ':' with
-        | Some i -> String.sub verdict 0 i
-        | None -> verdict
-      in
-      let s =
-        Option.value o.Emmver.solver_stats ~default:Satsolver.Solver.empty_stats
-      in
-      Format.printf "%-8d %-6b %-24s %7.2fs %10d %11d %10d@." d share verdict wall_s
-        s.Satsolver.Solver.conflicts s.shared_out s.shared_in;
-      Printf.sprintf
-        {|    {"domains": %d, "share": %b, "verdict": %S, "wall_s": %.3f,
-     "conflicts": %d, "shared_out": %d, "shared_in": %d}|}
-        d share verdict wall_s s.Satsolver.Solver.conflicts s.shared_out
-        s.shared_in)
-    [ (1, true); (2, true); (2, false); (4, true); (4, false) ]
 
 (* Cold-vs-warm result-cache sweep on two matrix rows, against a throwaway
    store: the cold run solves and records, the warm run must serve the same
@@ -958,10 +863,7 @@ let serve_sweep () =
 
 let solver_json () =
   hr "solver-json: CDCL telemetry over the bench matrix -> BENCH_solver.json";
-  (* Read the baseline before the run: it may be the very file we are about
-     to overwrite. *)
-  let old = Option.map (fun f -> (f, baseline_verdicts f)) !baseline in
-  let old_cpu_s = Option.bind !baseline baseline_matrix_cpu_s in
+  let old = Option.map (fun f -> (f, read_baseline f)) !baseline in
   let solver_matrix =
     List.filter (fun (d, _, _, _) -> matrix_selected d) solver_matrix
   in
@@ -989,8 +891,6 @@ let solver_json () =
             timeout_s = Some !timeout;
             certify = !certify;
             proof_dir = (if !certify then Some proof_dir else None);
-            domains = !domains;
-            share_clauses = not !no_share;
             cache = !cache_dir <> None;
             cache_dir = !cache_dir;
           }
@@ -1055,7 +955,7 @@ let solver_json () =
         if not !certify then ("unchecked", 0)
         else begin
           let proof = Satsolver.Solver.proof solver in
-          (if not (Sys.file_exists proof_dir) then Unix.mkdir proof_dir 0o755);
+          Obs.ensure_dir proof_dir;
           let oc = open_out (Filename.concat proof_dir (design ^ ".drat")) in
           Cert.Drat.output oc proof;
           close_out oc;
@@ -1084,19 +984,7 @@ let solver_json () =
        (fun (pigeons, holes) ->
          matrix_selected (Printf.sprintf "php-%d-%d" pigeons holes))
        [ (7, 6); (8, 7); (9, 8) ]);
-  (* The Domain-portfolio sweep varies the domain count internally, so it
-     only runs for the default configuration (no --domains/--no-share
-     override) and only when its headline row is in the selected matrix
-     (CI smoke restricts with [--only]). *)
-  (* The serve sweep forks a daemon, which OCaml forbids once other domains
-     have ever been spawned — so it must run before the domain portfolio
-     sweep below. *)
   let serve_rows = serve_sweep () in
-  let sweep_rows =
-    if !domains = 1 && (not !no_share) && matrix_selected "quicksort-n3" then
-      domain_sweep ()
-    else []
-  in
   let cache_rows = cache_sweep () in
   let oc = open_out !out_file in
   output_string oc "{\n  \"rows\": [\n";
@@ -1104,30 +992,20 @@ let solver_json () =
   output_string oc "\n  ],\n";
   (* Fan-out telemetry for the verification matrix above (the raw-SAT rows,
      when selected, run sequentially): wall vs. summed per-row time is the
-     measured speedup of this run.  The baseline reader skips this object — it has no
-     "design" field; the same goes for the per-combination "domains" entries
-     of the in-process portfolio sweep. *)
+     measured speedup of this run. *)
   output_string oc
     (Printf.sprintf
-       "  \"parallel\": {\"jobs\": %d, \"matrix_wall_s\": %.3f, \"matrix_cpu_s\": %.3f, \"host_cores\": %d"
+       "  \"parallel\": {\"jobs\": %d, \"matrix_wall_s\": %.3f, \"matrix_cpu_s\": %.3f, \"host_cores\": %d}"
        !jobs matrix_wall_s matrix_cpu_s
        (Domain.recommended_domain_count ()));
-  (match sweep_rows with
-  | [] -> output_string oc "}"
-  | rows ->
-    output_string oc ",\n  \"domains\": [\n";
-    output_string oc (String.concat ",\n" rows);
-    output_string oc "\n  ]}");
-  (* Cold-vs-warm result-cache telemetry; like the sweep entries, these
-     objects carry no "verdict" field so the baseline reader skips them. *)
+  (* Cold-vs-warm result-cache telemetry. *)
   (match cache_rows with
   | [] -> ()
   | rows ->
     output_string oc ",\n  \"cache\": [\n";
     output_string oc (String.concat ",\n" rows);
     output_string oc "\n  ]");
-  (* Daemon round-trip telemetry — also verdict-free, also skipped by the
-     baseline reader. *)
+  (* Daemon round-trip telemetry. *)
   (match serve_rows with
   | [] -> ()
   | rows ->
@@ -1138,9 +1016,9 @@ let solver_json () =
   close_out oc;
   Format.printf "wrote %s (%d rows)@." !out_file (List.length !rows);
   (match old with
-  | Some (name, old) -> check_against_baseline ~name ~old !verdicts
+  | Some (name, (old, _)) -> check_against_baseline ~name ~old !verdicts
   | None -> ());
-  (match (!overhead_budget, old_cpu_s) with
+  (match (!overhead_budget, Option.bind old (fun (_, (_, cpu_s)) -> cpu_s)) with
   | Some pct, Some old_s ->
     (* 2s absolute slack: on a sub-10s matrix a single scheduler hiccup
        would otherwise trip a relative-only gate. *)
@@ -1247,9 +1125,8 @@ let () =
         match arg with
         | "--full" -> full := true
         | "--certify" -> certify := true
-        | "--no-share" -> no_share := true
         | "--timeout" | "--baseline" | "-j" | "--jobs" | "--only" | "--out"
-        | "--trace-out" | "--overhead-budget" | "--domains" | "--cache-dir" ->
+        | "--trace-out" | "--overhead-budget" | "--cache-dir" ->
           () (* value consumed below *)
         | _ ->
           if i > 1 && Sys.argv.(i - 1) = "--timeout" then timeout := float_of_string arg
@@ -1259,8 +1136,6 @@ let () =
           else if i > 1 && Sys.argv.(i - 1) = "--trace-out" then trace_out := Some arg
           else if i > 1 && Sys.argv.(i - 1) = "--overhead-budget" then
             overhead_budget := Some (float_of_string arg)
-          else if i > 1 && Sys.argv.(i - 1) = "--domains" then
-            domains := max 1 (int_of_string arg)
           else if i > 1 && Sys.argv.(i - 1) = "--cache-dir" then cache_dir := Some arg
           else if i > 1 && (Sys.argv.(i - 1) = "-j" || Sys.argv.(i - 1) = "--jobs") then
             jobs := max 1 (int_of_string arg)

@@ -87,21 +87,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let domains_arg =
-  let doc =
-    "Race every SAT query over this many diversified in-process CDCL \
-     instances (OCaml domains) that exchange learnt glue clauses \
-     (1 = sequential solving). Verdicts do not depend on the domain count."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
-let no_share_arg =
-  let doc =
-    "With $(b,--domains N), disable learnt-clause exchange between the \
-     racing instances (pure diversified racing)."
-  in
-  Arg.(value & flag & info [ "no-share" ] ~doc)
-
 let certify_arg =
   let doc =
     "Certify every verdict: DRAT-check the solver refutations behind proofs \
@@ -211,8 +196,8 @@ let print_certificate ?(always = false) outcome =
 
 let verify_cmd =
   let run design method_name property max_depth timeout_s show_trace vcd jobs certify
-      proof_dir conflict_budget learnt_mb_budget fallback trace_out domains no_share
-      cache no_cache cache_dir =
+      proof_dir conflict_budget learnt_mb_budget fallback trace_out cache no_cache
+      cache_dir =
     (* The verdict rank is computed inside [run_with_trace] and [exit]
        happens after it, so the trace file is written on every path. *)
     let rank =
@@ -228,8 +213,6 @@ let verify_cmd =
         proof_dir;
         conflict_budget;
         learnt_mb_budget;
-        domains;
-        share_clauses = not no_share;
       }
       |> cache_options ~cache ~no_cache ~cache_dir
     in
@@ -273,7 +256,7 @@ let verify_cmd =
       const run $ design_arg $ method_arg $ property_arg $ depth_arg $ timeout_arg
       $ show_trace_arg $ vcd_arg $ jobs_arg $ certify_arg $ proof_dir_arg
       $ conflict_budget_arg $ learnt_mb_arg $ fallback_arg $ trace_out_arg
-      $ domains_arg $ no_share_arg $ cache_flag_arg $ no_cache_arg $ cache_dir_arg)
+      $ cache_flag_arg $ no_cache_arg $ cache_dir_arg)
 
 let portfolio_cmd =
   let methods_arg =
@@ -283,8 +266,8 @@ let portfolio_cmd =
     in
     Arg.(value & opt (some string) None & info [ "methods" ] ~docv:"M1,M2,..." ~doc)
   in
-  let run design property max_depth timeout_s methods certify trace_out domains
-      no_share cache no_cache cache_dir =
+  let run design property max_depth timeout_s methods certify trace_out cache
+      no_cache cache_dir =
     let rank =
       Obs.run_with_trace ?out:trace_out ~label:"portfolio" @@ fun () ->
     let net = load_design design in
@@ -293,20 +276,8 @@ let portfolio_cmd =
       | None -> Emmver.default_portfolio
       | Some s -> List.map parse_method (String.split_on_char ',' s)
     in
-    (* [--domains N] composes with the fork race: each forked engine worker
-       runs its SAT queries over an in-process Domain portfolio of N
-       diversified instances.  The fork pool stays the crash-isolation
-       layer; the domains share clauses inside one worker's address
-       space. *)
     let options =
-      {
-        Emmver.default_options with
-        max_depth;
-        timeout_s;
-        certify;
-        domains;
-        share_clauses = not no_share;
-      }
+      { Emmver.default_options with max_depth; timeout_s; certify }
       |> cache_options ~cache ~no_cache ~cache_dir
     in
     let props =
@@ -344,8 +315,7 @@ let portfolio_cmd =
           the first conclusive verdict wins and the losers are killed")
     Term.(
       const run $ design_arg $ property_arg $ depth_arg $ timeout_arg $ methods_arg
-      $ certify_arg $ trace_out_arg $ domains_arg $ no_share_arg $ cache_flag_arg
-      $ no_cache_arg $ cache_dir_arg)
+      $ certify_arg $ trace_out_arg $ cache_flag_arg $ no_cache_arg $ cache_dir_arg)
 
 let cache_cmd =
   let action_arg =

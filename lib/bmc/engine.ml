@@ -55,7 +55,6 @@ type config = {
   conflict_budget : int option;
   learnt_mb_budget : float option;
   proof_file : string option;
-  portfolio : Portfolio.config option;
 }
 
 let default_config =
@@ -71,24 +70,7 @@ let default_config =
     conflict_budget = None;
     learnt_mb_budget = None;
     proof_file = None;
-    portfolio = None;
   }
-
-(* Wrap a freshly created solver in a portfolio when the configuration asks
-   for one.  Must run before the unroller adds any clause (replicas mirror
-   the primary's clause stream from the beginning).  Sharing is forced off
-   when cores or DRAT logs are consumed: imported clauses have no local
-   derivation, so they would taint the one and invalidate the other. *)
-let make_portfolio config solver =
-  match config.portfolio with
-  | Some pcfg when pcfg.Portfolio.domains > 1 ->
-    let pcfg =
-      if config.certify || config.collect_reasons then
-        { pcfg with Portfolio.share = false }
-      else pcfg
-    in
-    Some (Portfolio.create ~config:pcfg solver)
-  | Some _ | None -> None
 
 (* The memory-interface bits observed by trace certification: write-port
    address/data/enable and read-port address/enable unconditionally,
@@ -167,10 +149,7 @@ type run = {
   reasons : (Netlist.signal, unit) Hashtbl.t;
   mem_reasons : (int, unit) Hashtbl.t;
   watches : (string * Netlist.signal * Netlist.signal option) list;
-  portfolio : Portfolio.t option;
-  mutable obligations : (Lit.t list * int) list;
-      (* UNSAT assumption cubes with the instance that answered them
-         (0 = the run's own solver), newest first *)
+  mutable obligations : Lit.t list list;  (* UNSAT assumption cubes, newest first *)
   mutable reasons_last_changed : int;
   mutable solve_time : float;
   mutable encode_time : float;
@@ -185,13 +164,6 @@ type prop_state = {
   mutable ps_verdict : verdict option;
 }
 
-(* The solver whose bookkeeping matches the last answer: the portfolio
-   winner when racing, the run's own solver otherwise. *)
-let answer_solver run =
-  match run.portfolio with
-  | Some p -> Portfolio.winner_solver p
-  | None -> run.solver
-
 (* The [solve_time]/[encode_time] accumulators are now derived views over
    the observability spans: both read the same [Obs.now] clock, so [stats]
    stays source-compatible while traces carry the per-phase breakdown. *)
@@ -202,14 +174,10 @@ let timed_solve ?(what = "falsify") run assumptions =
       ~finally:(fun () -> run.solve_time <- run.solve_time +. Obs.now () -. t0)
       (fun () ->
         Obs.span "solve" ~attrs:[ ("query", Obs.Str what) ] (fun () ->
-            match run.portfolio with
-            | Some p -> Portfolio.solve ~assumptions p
-            | None -> Solver.solve ~assumptions run.solver))
+            Solver.solve ~assumptions run.solver))
   in
-  if r = Solver.Unsat && run.cfg.certify then begin
-    let w = match run.portfolio with Some p -> Portfolio.winner p | None -> 0 in
-    run.obligations <- (assumptions, w) :: run.obligations
-  end;
+  if r = Solver.Unsat && run.cfg.certify then
+    run.obligations <- assumptions :: run.obligations;
   r
 
 let timed_encode run f =
@@ -258,44 +226,21 @@ let collect_reasons_from_core run =
       | Some (Cnf.Tag.Memory id) ->
         if not (Hashtbl.mem run.mem_reasons id) then Hashtbl.replace run.mem_reasons id ()
       | Some (Cnf.Tag.Misc _) | None -> ())
-    (Solver.unsat_core_tags (answer_solver run))
+    (Solver.unsat_core_tags run.solver)
 
 (* Validate every recorded UNSAT answer against the solver's DRAT log with
    the independent checker of [Cert.Drat]. *)
 let certify_unsat run =
   if run.obligations = [] then Cert.Unchecked "no unsat obligations recorded"
-  else begin
-    (* Under a portfolio, obligations are grouped by the instance that
-       answered them: every instance keeps a self-contained DRAT log over
-       the same (replayed) original clauses, so each group is checked
-       against its own instance's derivation. *)
-    let solver_of k =
-      match run.portfolio with
-      | Some p -> Portfolio.instance p k
-      | None -> run.solver
-    in
-    let instances = List.sort_uniq compare (List.map snd run.obligations) in
-    let rec go = function
-      | [] -> Cert.Certified Cert.Drat_checked
-      | k :: rest -> (
-        let solver = solver_of k in
-        let obligations =
-          List.rev
-            (List.filter_map
-               (fun (cube, w) -> if w = k then Some cube else None)
-               run.obligations)
-        in
-        match
-          Cert.Drat.check
-            ~num_vars:(Solver.num_vars solver)
-            ~original:(Solver.export_clauses solver)
-            ~proof:(Solver.proof solver) ~obligations ()
-        with
-        | Cert.Drat.Valid _ -> go rest
-        | Cert.Drat.Invalid why -> Cert.Refuted why)
-    in
-    go instances
-  end
+  else
+    match
+      Cert.Drat.check
+        ~num_vars:(Solver.num_vars run.solver)
+        ~original:(Solver.export_clauses run.solver)
+        ~proof:(Solver.proof run.solver) ~obligations:(List.rev run.obligations) ()
+    with
+    | Cert.Drat.Valid _ -> Cert.Certified Cert.Drat_checked
+    | Cert.Drat.Invalid why -> Cert.Refuted why
 
 let dump_proof run =
   match run.cfg.proof_file with
@@ -328,27 +273,19 @@ let certify_verdicts run verdicts =
 
 (* The self-contained evidence behind a DRAT-checked UNSAT verdict —
    original clauses, derivation and assumption obligations — for layers that
-   persist certificates (lib/vcache) and re-check them independently later.
-   Only for single-instance runs: under a portfolio, obligations are spread
-   over per-instance derivations and no single artifact re-checks them. *)
+   persist certificates (lib/vcache) and re-check them independently later. *)
 let artifact_of run =
   {
     ca_num_vars = Solver.num_vars run.solver;
     ca_original = Solver.export_clauses run.solver;
     ca_proof = Solver.proof run.solver;
-    ca_obligations = List.rev_map fst run.obligations;
+    ca_obligations = List.rev run.obligations;
   }
 
 let stats_of run ~completed ~cert_time_s =
   let gc = Gc.quick_stat () in
   let cnf_stats = Cnf.stats run.unr in
-  (* Under a portfolio, the solver telemetry aggregates all instances: the
-     work the machine actually did, not just the winner's share. *)
-  let sstats =
-    match run.portfolio with
-    | Some p -> Portfolio.merged_stats p
-    | None -> Solver.stats run.solver
-  in
+  let sstats = Solver.stats run.solver in
   {
     depths_completed = completed + 1;
     solve_time = run.solve_time;
@@ -489,7 +426,6 @@ let depth_loop run props =
 
 let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   let solver = Solver.create () in
-  let portfolio = make_portfolio config solver in
   Solver.set_deadline solver config.deadline;
   Solver.set_conflict_budget solver config.conflict_budget;
   Solver.set_learnt_budget_mb solver config.learnt_mb_budget;
@@ -522,7 +458,6 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
       reasons = Hashtbl.create 64;
       mem_reasons = Hashtbl.create 4;
       watches = (if config.certify then watch_signals net else []);
-      portfolio;
       obligations = [];
       reasons_last_changed = 0;
       solve_time = 0.0;
@@ -534,13 +469,11 @@ let check_all ?(config = default_config) ?(hooks = no_hooks) net ~properties =
   let cert_t0 = Obs.now () in
   let certificates = Obs.span "certify" (fun () -> certify_verdicts run verdicts) in
   let stats = stats_of run ~completed ~cert_time_s:(Obs.now () -. cert_t0) in
-  let artifact =
-    lazy (match run.portfolio with None -> Some (artifact_of run) | Some _ -> None)
-  in
+  let artifact = lazy (artifact_of run) in
   let result verdict certificate =
     let artifact =
       match certificate with
-      | Cert.Certified Cert.Drat_checked -> Lazy.force artifact
+      | Cert.Certified Cert.Drat_checked -> Some (Lazy.force artifact)
       | Cert.Certified _ | Cert.Refuted _ | Cert.Unchecked _ -> None
     in
     { verdict; stats; certificate; artifact }

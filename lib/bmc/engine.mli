@@ -80,9 +80,7 @@ type result = {
           outcome for UNSAT-backed verdicts and the concrete-design replay
           outcome for counterexamples *)
   artifact : cert_artifact option;
-      (** present exactly when [certificate = Certified Drat_checked] and no
-          Domain portfolio ran (a portfolio spreads the obligations over
-          per-instance derivations) *)
+      (** present exactly when [certificate = Certified Drat_checked] *)
 }
 
 type config = {
@@ -111,15 +109,6 @@ type config = {
       (** learnt-clause database ceiling in MB, same failure mode *)
   proof_file : string option;
       (** with [certify], also write the DRAT derivation to this path *)
-  portfolio : Portfolio.config option;
-      (** with [Some cfg] and [cfg.domains > 1], every SAT query is raced
-          by an in-process Domain portfolio (see {!Portfolio}); [None] (the
-          default) solves sequentially.  Clause sharing is forced off when
-          [certify] (imports would invalidate the DRAT logs; each instance
-          keeps a self-contained log and the winner's is checked) or
-          [collect_reasons] (imported clauses have no local derivation, so
-          cores would under-approximate) is set.  [proof_file] always dumps
-          the primary instance's derivation. *)
 }
 
 val default_config : config

@@ -36,8 +36,6 @@ type options = {
   proof_dir : string option;
   conflict_budget : int option;
   learnt_mb_budget : float option;
-  domains : int;
-  share_clauses : bool;
   cache : bool;
   cache_dir : string option;
 }
@@ -52,8 +50,6 @@ let default_options =
     proof_dir = None;
     conflict_budget = None;
     learnt_mb_budget = None;
-    domains = 1;
-    share_clauses = true;
     cache = false;
     cache_dir = None;
   }
@@ -104,15 +100,6 @@ let engine_config ?(proof_checks = true) ?free_latches ?proof_file opts =
     conflict_budget = opts.conflict_budget;
     learnt_mb_budget = opts.learnt_mb_budget;
     proof_file;
-    portfolio =
-      (if opts.domains > 1 then
-         Some
-           {
-             Portfolio.default_config with
-             Portfolio.domains = opts.domains;
-             share = opts.share_clauses;
-           }
-       else None);
   }
 
 (* Translate an engine result, replaying counterexamples on [replay_net]. *)
@@ -182,12 +169,12 @@ let outcome_of_result ?emm_counts ?abstraction ~model_latches ~time_s replay_net
 let num_latches net = List.length (Netlist.latches net)
 
 (* Where to dump this run's DRAT derivation, when [options.proof_dir] asks
-   for one.  The directory is created on demand. *)
+   for one.  The directory, and any missing parent, is created on demand. *)
 let proof_file_of options ~method_ ~property =
   match options.proof_dir with
   | None -> None
   | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Obs.ensure_dir dir;
     let sanitize s =
       String.map (fun c ->
           match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> c | _ -> '_')
@@ -337,8 +324,7 @@ let cache_config (options : options) =
 (* The verdict-relevant option attributes.  Deliberately absent: [certify]
    (changes the evidence, never the verdict), [timeout_s] / conflict and
    learnt budgets (runs they cut short carry a typed error and are never
-   cached; runs they don't cut short are identical), [domains] /
-   [share_clauses] (a portfolio race returns the same verdict), [proof_dir]. *)
+   cached; runs they don't cut short are identical), [proof_dir]. *)
 let cache_attrs options ~method_ =
   let base =
     [
@@ -859,9 +845,7 @@ let pp_outcome ppf o =
       "@,solver: conflicts=%d decisions=%d props=%d restarts=%d learnt=%d \
        deleted=%d minimised=%d avg-lbd=%.2f"
       s.Satsolver.Solver.conflicts s.decisions s.propagations s.restarts
-      s.learnt_clauses s.deleted_clauses s.minimised_lits s.avg_lbd;
-    if s.shared_out > 0 || s.shared_in > 0 then
-      Format.fprintf ppf " shared-out=%d shared-in=%d" s.shared_out s.shared_in);
+      s.learnt_clauses s.deleted_clauses s.minimised_lits s.avg_lbd);
   (match o.certificate with
   | Cert.Unchecked _ -> ()
   | c -> Format.fprintf ppf "@,certificate: %a" Cert.pp c);

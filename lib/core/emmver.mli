@@ -50,14 +50,6 @@ type options = {
           [Inconclusive] and a [Budget_exhausted] error *)
   learnt_mb_budget : float option;
       (** learnt-clause database ceiling in MB, same failure mode *)
-  domains : int;
-      (** with [> 1], every SAT query runs an in-process Domain portfolio of
-          that many diversified CDCL instances (see {!Portfolio}); [1] (the
-          default) solves sequentially *)
-  share_clauses : bool;
-      (** exchange learnt glue clauses between portfolio instances (default
-          [true]; forced off under [certify], where imports would invalidate
-          the DRAT logs) *)
   cache : bool;
       (** consult and populate the persistent content-addressed result cache
           (see {!Vcache}): before encoding anything, {!verify} looks the
@@ -71,8 +63,7 @@ type options = {
 
 val default_options : options
 (** [max_depth = 100], no timeout, stability 10, 2M BDD nodes, certification
-    off, no proof dir, no budgets, sequential solving ([domains = 1]),
-    caching off. *)
+    off, no proof dir, no budgets, caching off. *)
 
 type conclusion =
   | Proved of { depth : int; induction : bool }

@@ -78,18 +78,12 @@ let close_open_spans t =
     end_top t
   done
 
-(* {2 The current recorder}
+(* {2 The current recorder} *)
 
-   The ambient recorder is domain-local: every domain sees its own slot,
-   and a freshly spawned domain starts with [None] (emission disabled)
-   until [domain_scope] installs a private recorder for it.  A recorder is
-   therefore only ever mutated by the one domain that installed it — the
-   cross-domain hand-off happens through [rows] after the domain joins. *)
+let cur_ref : t option ref = ref None
 
-let cur_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let cur () = Domain.DLS.get cur_key
-let set_cur v = Domain.DLS.set cur_key v
+let cur () = !cur_ref
+let set_cur v = cur_ref := v
 
 let set_current r = set_cur r
 let current () = cur ()
@@ -152,52 +146,15 @@ let worker_scope f =
     close_open_spans r;
     (v, rows r)
 
-(* Belt-and-braces: ingestion is the one recorder operation several domains
-   could plausibly reach concurrently (workers reporting as they finish), so
-   it takes a global lock.  The intended discipline remains single-domain —
-   parents ingest after join. *)
-let ingest_mutex = Mutex.create ()
-
 let ingest t worker_rows =
-  Mutex.protect ingest_mutex (fun () ->
-      List.iter
-        (fun row ->
-          t.rev_rows <- row :: t.rev_rows;
-          t.n <- t.n + 1)
-        worker_rows)
+  List.iter
+    (fun row ->
+      t.rev_rows <- row :: t.rev_rows;
+      t.n <- t.n + 1)
+    worker_rows
 
 let ingest_current worker_rows =
   match cur () with None -> () | Some r -> ingest r worker_rows
-
-(* {2 Domain support} *)
-
-type domain_token = { dt_parent : t; dt_pid : int }
-
-(* Synthetic-pid allocator: distinct pids keep the per-pid span stacks of
-   [spans]/[validate] well-formed when several domains' rows are merged
-   into one trace. *)
-let domain_seq = Atomic.make 0
-
-let domain_fork ?pid () =
-  match cur () with
-  | None -> None
-  | Some parent ->
-    let pid =
-      match pid with
-      | Some p -> p
-      | None -> (parent.pid * 1000) + 1 + Atomic.fetch_and_add domain_seq 1
-    in
-    Some { dt_parent = parent; dt_pid = pid }
-
-let domain_scope token f =
-  match token with
-  | None -> (f (), [])
-  | Some { dt_parent = parent; dt_pid = pid } ->
-    let r = create ~clock:parent.c ~pid ~track_alloc:parent.track_alloc () in
-    set_cur (Some r);
-    let v = Fun.protect f ~finally:(fun () -> set_cur None) in
-    close_open_spans r;
-    (v, rows r)
 
 (* {2 Validation and span extraction} *)
 
@@ -439,6 +396,15 @@ let write_file ?format path t =
     (fun () -> Buffer.output_buffer oc b)
 
 (* {2 Trace-file plumbing} *)
+
+let ensure_dir dir =
+  let rec mk d =
+    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
+      mk (Filename.dirname d);
+      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
+  in
+  mk dir
 
 let trace_env_var = "EMMVER_TRACE"
 

@@ -145,36 +145,6 @@ val ingest : t -> row list -> unit
 val ingest_current : row list -> unit
 (** [ingest] into the current recorder; no-op when disabled. *)
 
-(** {1 Domain support}
-
-    The current recorder is domain-local ([Domain.DLS]): a freshly spawned
-    domain starts disabled and never sees the parent's recorder, so a
-    recorder is only ever mutated by the one domain that installed it.  To
-    trace work running on another domain, capture a {!domain_fork} token on
-    the parent {e before} spawning, run the domain's body inside
-    {!domain_scope}, and {!ingest} the returned rows on the parent after
-    joining — the portfolio layer does exactly this, mirroring the
-    fork-worker flow of {!worker_scope}.
-
-    Caveat: {!Clock.fixed} closures are stateful and unsynchronised; use
-    the wall clock for multi-domain traces. *)
-
-type domain_token
-(** Parent-side capture (clock, allocation tracking, a fresh synthetic pid)
-    for tracing one spawned domain. *)
-
-val domain_fork : ?pid:int -> unit -> domain_token option
-(** Capture the current recorder's configuration for a child domain, with a
-    distinct synthetic pid (derived from the parent's, unless [pid] is
-    given) so merged traces keep one well-formed span stack per domain.
-    [None] when tracing is disabled — {!domain_scope} then runs its body
-    untraced. *)
-
-val domain_scope : domain_token option -> (unit -> 'a) -> 'a * row list
-(** Run a domain's body against a private recorder described by the token,
-    returning its rows for the parent to {!ingest} after [Domain.join].
-    With [None]: [(f (), [])]. *)
-
 (** {1 Validation and span extraction} *)
 
 type span_info = {
@@ -220,6 +190,12 @@ val write_file : ?format:format -> string -> t -> unit
 
 (** {1 Trace-file plumbing} *)
 
+val ensure_dir : string -> unit
+(** [ensure_dir dir] creates [dir] and any missing parents, like
+    [mkdir -p]; existing directories are left alone.  Used wherever a
+    user-given directory is written to: the result cache, the serve
+    journal and DRAT proof dumps. *)
+
 val trace_env_var : string
 (** ["EMMVER_TRACE"]: setting it to a path enables tracing in any CLI or
     bench run, as if [--trace-out] had been given. *)
@@ -234,8 +210,9 @@ val run_with_trace : ?clock:Clock.t -> ?out:string -> label:string -> (unit -> '
 
 (** {1 A minimal JSON reader}
 
-    Just enough JSON to parse traces back in the golden tests and the CI
-    guard — not a general-purpose implementation. *)
+    Just enough JSON to parse traces back in the golden tests, serve's
+    protocol and journal, the cache store's entries and bench's baseline
+    file — not a general-purpose implementation. *)
 
 module Json : sig
   type t =

@@ -1,7 +1,7 @@
 (** Fork-based worker pool with crash and timeout isolation.
 
     The verification platform fans out independent SAT-backed obligations —
-    one property per job, or one engine per job when racing a portfolio —
+    one property per job, or one engine per job when racing engines —
     across OS processes.  Processes, not domains, are the right isolation
     unit here: every job builds its own mutable CDCL solver instance, a
     worker that runs out of memory or dies on a signal must not take the

@@ -58,7 +58,6 @@ let discover ?(max_depth = 200) ?(stability = 10) ?deadline ?(use_emm = true) ?w
       conflict_budget = None;
       learnt_mb_budget = None;
       proof_file = None;
-      portfolio = None;
     }
   in
   let t0 = Unix.gettimeofday () in

@@ -49,7 +49,6 @@ type clause = Cl.t
 type cid_info =
   | Original of int
   | Learnt_from of int array
-  | Imported  (* clause imported from a portfolio peer; no local derivation *)
 
 (* One line of a DRAT proof: clause additions (learnt clauses, in derivation
    order) interleaved with the deletions performed by DB reduction. *)
@@ -67,8 +66,6 @@ type stats = {
   minimised_lits : int;  (* literals removed by conflict-clause minimisation *)
   avg_lbd : float;  (* mean LBD over all learnt clauses *)
   solve_time_s : float;  (* wall time spent inside [solve] *)
-  shared_out : int;  (* learnt clauses accepted by the share callback *)
-  shared_in : int;  (* peer clauses imported via [import_clauses] *)
 }
 
 let empty_stats =
@@ -83,8 +80,6 @@ let empty_stats =
     minimised_lits = 0;
     avg_lbd = 0.0;
     solve_time_s = 0.0;
-    shared_out = 0;
-    shared_in = 0;
   }
 
 type t = {
@@ -141,30 +136,17 @@ type t = {
   mutable conflict_base : int; (* [t.conflicts] at [solve] entry *)
   mutable learnt_budget_mb : float option; (* learnt-DB memory ceiling *)
   mutable learnt_words : int; (* words held by live learnt clauses *)
-  (* Portfolio hooks — all inert by default; see lib/portfolio. *)
-  mutable stop : bool Atomic.t option; (* cooperative cancellation flag *)
-  mutable share_callback : (lbd:int -> Lit.t list -> bool) option;
-  mutable import_source : (unit -> Lit.t list list) option;
-  mutable clause_listener : (int -> Lit.t list -> unit) option;
-  mutable shared_out : int;
-  mutable shared_in : int;
-  mutable core_tainted : bool; (* last refutation traversed an imported clause *)
-  (* Diversification knobs for portfolio replicas. *)
-  mutable var_decay_inv : float;
-  mutable restart_base : float;
-  mutable phase_default : bool;
-  mutable rnd_state : int;
-  mutable rnd_phase_freq : float;
 }
 
 exception Timeout
 
 exception Budget_exceeded of string
 
-exception Stopped
-
 let var_decay = 1.0 /. 0.95
 let cla_decay = 1.0 /. 0.999
+
+(* Base conflict budget of the Luby restart sequence. *)
+let restart_base = 100.0
 let var_marker v = -v - 1
 
 let create () =
@@ -190,7 +172,7 @@ let create () =
     var_inc = 1.0;
     cla_inc = 1.0;
     order = Order_heap.create ~activity:(fun v -> !activity.(v));
-    cid_info = Array.make 1024 Imported;
+    cid_info = Array.make 1024 (Original (-1));
     cla_act = Array.make 1024 0.0;
     next_cid = 0;
     ok = true;
@@ -216,50 +198,12 @@ let create () =
     conflict_base = 0;
     learnt_budget_mb = None;
     learnt_words = 0;
-    stop = None;
-    share_callback = None;
-    import_source = None;
-    clause_listener = None;
-    shared_out = 0;
-    shared_in = 0;
-    core_tainted = false;
-    var_decay_inv = var_decay;
-    restart_base = 100.0;
-    phase_default = false;
-    rnd_state = 0;
-    rnd_phase_freq = 0.0;
   }
 
 let set_deadline t d = t.deadline <- d
 let set_proof_logging t b = t.proof_logging <- b
 let set_conflict_budget t b = t.conflict_budget <- b
 let set_learnt_budget_mb t b = t.learnt_budget_mb <- b
-let set_stop t f = t.stop <- f
-let set_share_callback t f = t.share_callback <- f
-let set_import_source t f = t.import_source <- f
-let set_clause_listener t f = t.clause_listener <- f
-
-let set_var_decay t d =
-  if d <= 0.0 || d > 1.0 then invalid_arg "Solver.set_var_decay";
-  t.var_decay_inv <- 1.0 /. d
-
-let set_restart_base t b =
-  if b < 1 then invalid_arg "Solver.set_restart_base";
-  t.restart_base <- float_of_int b
-
-let set_default_phase t p =
-  t.phase_default <- p;
-  Array.fill t.phase 0 (Array.length t.phase) p
-
-let set_random_seed t s = t.rnd_state <- s land max_int
-let set_random_phase_freq t f = t.rnd_phase_freq <- f
-let deadline t = t.deadline
-let conflict_budget t = t.conflict_budget
-let learnt_budget_mb t = t.learnt_budget_mb
-let proof_logging_enabled t = t.proof_logging
-let core_complete t = not t.core_tainted
-let raw_model t = Array.copy t.model
-let adopt_model t m = t.model <- Array.copy m
 let proof t = List.rev t.proof_steps
 
 let proof_log t =
@@ -288,8 +232,6 @@ let stats t =
       (if t.learnt_total = 0 then 0.0
        else float_of_int t.lbd_sum /. float_of_int t.learnt_total);
     solve_time_s = t.solve_time;
-    shared_out = t.shared_out;
-    shared_in = t.shared_in;
   }
 
 let grow_arrays t n =
@@ -308,7 +250,7 @@ let grow_arrays t n =
      Array.blit t.level_stamp 0 b 0 (Array.length t.level_stamp);
      t.level_stamp <- b);
     t.reason <- grow_arr t.reason Cl.none;
-    (let b = Array.make cap t.phase_default in
+    (let b = Array.make cap false in
      Array.blit t.phase 0 b 0 old;
      t.phase <- b);
     let acts = Array.make cap 0.0 in
@@ -549,7 +491,6 @@ let propagate t =
    reached, plus the assumption literals (reason-less assignments above the
    root level) encountered on the way. *)
 let collect_refutation t seeds =
-  t.core_tainted <- false;
   let visited_cid = Hashtbl.create 251 in
   let visited_var = Hashtbl.create 251 in
   let originals = ref [] in
@@ -566,11 +507,6 @@ let collect_refutation t seeds =
           Hashtbl.add visited_cid s ();
           match t.cid_info.(s) with
           | Original _ -> originals := s :: !originals
-          | Imported ->
-            (* No local derivation: the core under-approximates the original
-               clauses actually needed.  Flag it so consumers that require an
-               exact core ({!core_complete}) can degrade conservatively. *)
-            t.core_tainted <- true
           | Learnt_from premises -> Array.iter push premises
         end
       end
@@ -819,7 +755,7 @@ let new_cid t info =
   t.next_cid <- cid + 1;
   let cap = Array.length t.cid_info in
   if cid = cap then begin
-    let infos = Array.make (2 * cap) Imported and acts = Array.make (2 * cap) 0.0 in
+    let infos = Array.make (2 * cap) (Original (-1)) and acts = Array.make (2 * cap) 0.0 in
     Array.blit t.cid_info 0 infos 0 cap;
     Array.blit t.cla_act 0 acts 0 cap;
     t.cid_info <- infos;
@@ -857,10 +793,6 @@ let install_root_clause t c =
   else attach_clause t c
 
 let add_clause ?(tag = -1) t lits =
-  (* The listener sees the raw clause stream, pre-simplification and even
-     when the solver is already unsat — portfolio replicas must replay the
-     exact same stream to keep variable numbering and clause ids aligned. *)
-  (match t.clause_listener with Some f -> f tag lits | None -> ());
   if t.ok then begin
     if decision_level t <> 0 then invalid_arg "Solver.add_clause: not at root level";
     (* Deduplicate and drop tautologies / root-satisfied clauses. *)
@@ -887,9 +819,6 @@ let clause_overhead = 8
 
 let learn_clause t lits lbd premises =
   if t.proof_logging then t.proof_steps <- Padd lits :: t.proof_steps;
-  (match t.share_callback with
-  | Some f -> if f ~lbd lits then t.shared_out <- t.shared_out + 1
-  | None -> ());
   let c = Cl.make ~id:(new_cid t (Learnt_from premises)) ~learnt:true ~lbd lits in
   let n = Cl.size c in
   t.learnt_words <- t.learnt_words + n + clause_overhead;
@@ -911,50 +840,6 @@ let learn_clause t lits lbd premises =
   end;
   bump_clause t c;
   c
-
-(* Install a clause learnt by a peer solver over the same variable
-   numbering.  Root-level only.  The clause enters the learnt database with
-   glue LBD (2), so DB reduction protects it, but it carries no local
-   premises: refutations that traverse it are flagged via {!core_complete}.
-   Returns [false] when the clause is dropped (unknown variable, tautology,
-   or already satisfied at root). *)
-let import_clause t lits =
-  if decision_level t <> 0 then invalid_arg "Solver.import_clause: not at root level";
-  let lits = List.sort_uniq compare lits in
-  if
-    lits = []
-    || List.exists (fun l -> Lit.var l >= t.nvars) lits
-    || List.exists (fun l -> List.mem (Lit.negate l) lits) lits
-    || List.exists (fun l -> lit_value t l = 1) lits
-  then false
-  else begin
-    let c = Cl.make ~id:(new_cid t Imported) ~learnt:true ~lbd:2 lits in
-    t.learnt_words <- t.learnt_words + Cl.size c + clause_overhead;
-    Vec.push t.learnts c;
-    install_root_clause t c;
-    true
-  end
-
-(* Imports are refused under proof logging: a peer's clause is not RUP with
-   respect to this instance's own derivation, so admitting it would
-   invalidate the DRAT log.  Callers that certify must solve without
-   sharing (the portfolio layer enforces this). *)
-let import_clauses t cls =
-  if t.proof_logging then 0
-  else begin
-    let n =
-      List.fold_left
-        (fun acc lits -> if t.ok && import_clause t lits then acc + 1 else acc)
-        0 cls
-    in
-    t.shared_in <- t.shared_in + n;
-    n
-  end
-
-let pull_imports t =
-  match t.import_source with
-  | None -> ()
-  | Some f -> ignore (import_clauses t (f ()))
 
 let locked t c = Cl.size c > 0 && t.reason.(Lit.var (Cl.lit c 0)) == c
 
@@ -1014,14 +899,6 @@ let pick_branch_var t =
 exception Found of result
 exception Restart
 
-(* Deterministic per-instance PRNG (48-bit drand48 LCG) driving random
-   phase flips.  State lives in the solver so portfolio replicas diverge
-   reproducibly from their seeds. *)
-let next_random t =
-  let s = ((t.rnd_state * 25214903917) + 11) land 0xFFFFFFFFFFFF in
-  t.rnd_state <- s;
-  float_of_int ((s lsr 24) land 0xFFFFFF) /. 16777216.0
-
 (* Push the solver's cumulative counters into the ambient trace.  Called on
    a sampling tick in the conflict loop and once per [solve] call, and only
    when tracing is on — the hot path pays one [land] and one branch. *)
@@ -1047,11 +924,6 @@ let search t conflict_budget =
       | Some d when t.conflicts land 255 = 0 && Unix.gettimeofday () > d ->
         cancel_until t 0;
         raise Timeout
-      | Some _ | None -> ());
-      (match t.stop with
-      | Some flag when Atomic.get flag ->
-        cancel_until t 0;
-        raise Stopped
       | Some _ | None -> ());
       (match t.conflict_budget with
       | Some b when t.conflicts - t.conflict_base >= b ->
@@ -1081,17 +953,12 @@ let search t conflict_budget =
         (match learnt with
         | asserting :: _ -> enqueue t asserting c
         | [] -> ());
-        t.var_inc <- t.var_inc *. t.var_decay_inv;
+        t.var_inc <- t.var_inc *. var_decay;
         t.cla_inc <- t.cla_inc *. cla_decay;
         if float_of_int (Vec.size t.learnts) >= t.max_learnts then reduce_db t
       end
     end
     else begin
-      (match t.stop with
-      | Some flag when Atomic.get flag ->
-        cancel_until t 0;
-        raise Stopped
-      | Some _ | None -> ());
       if !conflicts >= conflict_budget then begin
         cancel_until t 0;
         raise Restart
@@ -1117,12 +984,7 @@ let search t conflict_budget =
         else begin
           t.decisions <- t.decisions + 1;
           new_decision_level t;
-          let ph =
-            if t.rnd_phase_freq > 0.0 && next_random t < t.rnd_phase_freq then
-              not t.phase.(v)
-            else t.phase.(v)
-          in
-          enqueue t (Lit.of_var v ph) Cl.none
+          enqueue t (Lit.of_var v t.phase.(v)) Cl.none
         end
       end
     end
@@ -1142,47 +1004,31 @@ let solve ?(assumptions = []) t =
       (fun () ->
         cancel_until t 0;
         t.conflict_base <- t.conflicts;
-        (* Import boundary: peers' clauses enter at root level, here and at
-           every restart.  An import can close the formula outright (root
-           conflict), so [t.ok] must be re-checked after every pull — a
-           consumed root conflict would otherwise let a later search return
-           a bogus Sat. *)
-        pull_imports t;
-        if not t.ok then begin
-          t.last_failed <- [];
-          Unsat
-        end
-        else begin
-          t.assumptions <- Array.of_list assumptions;
-          Array.iter
-            (fun l ->
-              if Lit.var l >= t.nvars then
-                invalid_arg "Solver.solve: undeclared assumption")
-            t.assumptions;
-          t.max_learnts <- max 1000.0 (float_of_int (Vec.size t.clauses) /. 3.0);
-          let restarts = ref 0 in
-          let answer = ref None in
-          while !answer = None do
-            let budget = int_of_float (luby 2.0 !restarts *. t.restart_base) in
-            incr restarts;
-            match search t budget with
-            | exception Restart ->
-              t.restarts <- t.restarts + 1;
-              pull_imports t;
-              if not t.ok then answer := Some Unsat
-            | exception Found r -> answer := Some r
-            | () -> ()
-          done;
-          (match !answer with
-          | Some Sat ->
-            t.model <- Array.sub t.assign 0 t.nvars;
-            (* Unassigned variables default to false in the model. *)
-            Array.iteri (fun i v -> if v < 0 then t.model.(i) <- 0) t.model
-          | Some Unsat | None -> ());
-          cancel_until t 0;
-          t.assumptions <- [||];
-          match !answer with Some r -> r | None -> assert false
-        end)
+        t.assumptions <- Array.of_list assumptions;
+        Array.iter
+          (fun l ->
+            if Lit.var l >= t.nvars then invalid_arg "Solver.solve: undeclared assumption")
+          t.assumptions;
+        t.max_learnts <- max 1000.0 (float_of_int (Vec.size t.clauses) /. 3.0);
+        let restarts = ref 0 in
+        let answer = ref None in
+        while !answer = None do
+          let budget = int_of_float (luby 2.0 !restarts *. restart_base) in
+          incr restarts;
+          match search t budget with
+          | exception Restart -> t.restarts <- t.restarts + 1
+          | exception Found r -> answer := Some r
+          | () -> ()
+        done;
+        (match !answer with
+        | Some Sat ->
+          t.model <- Array.sub t.assign 0 t.nvars;
+          (* Unassigned variables default to false in the model. *)
+          Array.iteri (fun i v -> if v < 0 then t.model.(i) <- 0) t.model
+        | Some Unsat | None -> ());
+        cancel_until t 0;
+        t.assumptions <- [||];
+        match !answer with Some r -> r | None -> assert false)
   end
 
 let export_clauses t =
@@ -1203,7 +1049,7 @@ let unsat_core_tags t =
       (fun cid ->
         match t.cid_info.(cid) with
         | Original tag when tag >= 0 -> Some tag
-        | Original _ | Learnt_from _ | Imported -> None)
+        | Original _ | Learnt_from _ -> None)
       t.last_core
   in
   List.sort_uniq compare tags
@@ -1214,7 +1060,6 @@ let pp_stats ppf t =
   let s = stats t in
   Format.fprintf ppf
     "vars=%d clauses=%d learnts=%d conflicts=%d decisions=%d props=%d restarts=%d \
-     deleted=%d minimised=%d avg-lbd=%.2f shared-out=%d shared-in=%d"
+     deleted=%d minimised=%d avg-lbd=%.2f"
     t.nvars (Vec.size t.clauses) (Vec.size t.learnts) s.conflicts s.decisions
     s.propagations s.restarts s.deleted_clauses s.minimised_lits s.avg_lbd
-    s.shared_out s.shared_in

@@ -57,11 +57,6 @@ exception Timeout
 (** Raised by {!solve} when the {!set_deadline} wall-clock deadline passes.
     The solver stays usable: the interrupted query can be retried. *)
 
-exception Stopped
-(** Raised by {!solve} when the {!set_stop} cancellation flag is observed
-    set.  Like {!Timeout}, the solver stays usable afterwards.  Used by the
-    portfolio layer to cancel loser instances cooperatively. *)
-
 exception Budget_exceeded of string
 (** Raised by {!solve} when a resource budget ({!set_conflict_budget} or
     {!set_learnt_budget_mb}) runs out; the payload names the exhausted
@@ -86,88 +81,6 @@ val solve : ?assumptions:Lit.t list -> t -> result
 (** Solve the current formula under the given assumption literals.  The
     solver remains usable afterwards: more clauses may be added and [solve]
     called again. *)
-
-(** {2 Portfolio hooks}
-
-    Everything below is inert by default and exists for [lib/portfolio]: an
-    in-process portfolio races several solver instances on the same CNF and
-    exchanges learnt glue clauses between them.  The hooks are written
-    single-domain: each solver instance must only ever be touched by the one
-    domain that owns it — cross-domain communication goes through the
-    exchange buffer, never through a [t]. *)
-
-val set_stop : t -> bool Atomic.t option -> unit
-(** Cooperative cancellation: when the flag reads [true] at a periodic
-    check, {!solve} raises {!Stopped} (after backtracking to root, so the
-    solver stays usable).  [None] (the default) disables the check. *)
-
-val set_share_callback : t -> (lbd:int -> Lit.t list -> bool) option -> unit
-(** Invoked on every learnt clause, before simplification can touch it.
-    Returning [true] means the clause was exported (counts towards
-    [shared_out] in {!stats}). *)
-
-val set_import_source : t -> (unit -> Lit.t list list) option -> unit
-(** Clause supplier drained at every import boundary ({!solve} entry and
-    each restart) via {!import_clauses}. *)
-
-val import_clauses : t -> Lit.t list list -> int
-(** Install peer-learnt clauses at root level; returns how many were
-    actually admitted (tautologies, root-satisfied clauses and clauses over
-    undeclared variables are dropped).  Refuses all imports (returns [0])
-    while proof logging is on: an imported clause is not RUP with respect to
-    this instance's own derivation, so admitting one would invalidate the
-    DRAT log.  Must be called at root level, i.e. not from within a search
-    callback. *)
-
-val set_clause_listener : t -> (int -> Lit.t list -> unit) option -> unit
-(** [f tag lits] observes every {!add_clause} call, pre-simplification and
-    regardless of the solver's ok-flag — the exact stream a replica must
-    replay to mirror this instance. *)
-
-val core_complete : t -> bool
-(** [false] when the last refutation traversed an imported clause, in which
-    case {!unsat_core} / {!unsat_core_tags} under-approximate the original
-    clauses needed.  Consumers requiring exact cores (proof-based
-    abstraction) must solve without sharing. *)
-
-(** {2 Diversification knobs}
-
-    Per-instance search-strategy parameters, all with the classic defaults;
-    the portfolio sets them per replica so instances explore different parts
-    of the search space. *)
-
-val set_var_decay : t -> float -> unit
-(** VSIDS activity decay factor in (0, 1]; default 0.95. *)
-
-val set_restart_base : t -> int -> unit
-(** Base conflict budget of the Luby restart sequence; default 100. *)
-
-val set_default_phase : t -> bool -> unit
-(** Initial saved phase of fresh (and current) variables; default [false]. *)
-
-val set_random_seed : t -> int -> unit
-(** Seed for the per-instance PRNG behind {!set_random_phase_freq}. *)
-
-val set_random_phase_freq : t -> float -> unit
-(** Probability in [0, 1] of flipping the saved phase at a decision;
-    default 0 (deterministic phase saving). *)
-
-(** {2 Configuration getters}
-
-    Read-backs used by the portfolio to copy limits onto replicas. *)
-
-val deadline : t -> float option
-val conflict_budget : t -> int option
-val learnt_budget_mb : t -> float option
-val proof_logging_enabled : t -> bool
-
-val raw_model : t -> int array
-(** Copy of the last [Sat] model ([-1] undef / [0] false / [1] true per
-    variable index). *)
-
-val adopt_model : t -> int array -> unit
-(** Install a model taken from {!raw_model} of a peer instance with the same
-    variable numbering, so {!value} answers from the peer's model. *)
 
 val okay : t -> bool
 (** [false] once the clause set is unsatisfiable independent of
@@ -241,8 +154,6 @@ type stats = {
       (** literals removed by recursive conflict-clause minimisation *)
   avg_lbd : float;  (** mean LBD (glue) over all learnt clauses *)
   solve_time_s : float;  (** cumulative wall time spent inside {!solve} *)
-  shared_out : int;  (** learnt clauses accepted by the share callback *)
-  shared_in : int;  (** peer clauses admitted by {!import_clauses} *)
 }
 (** Cumulative search telemetry; all counters are monotone over the
     solver's lifetime. *)

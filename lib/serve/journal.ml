@@ -312,15 +312,6 @@ let fsync_dir path =
     Unix.close fd
   | exception _ -> ()
 
-let ensure_dir dir =
-  let rec mk d =
-    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-      mk (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  mk dir
-
 let line_of_record r =
   let body = record_to_json r in
   Digest.to_hex (Digest.string body) ^ " " ^ body ^ "\n"
@@ -426,7 +417,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let open_ path =
-  ensure_dir (Filename.dirname path);
+  Obs.ensure_dir (Filename.dirname path);
   let content = if Sys.file_exists path then Some (read_file path) else None in
   let t =
     {

@@ -459,15 +459,6 @@ let remove_with_marker path =
   (try Sys.remove (hit_marker path) with _ -> ());
   Sys.remove path
 
-let ensure_dir dir =
-  let rec mk d =
-    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-      mk (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  mk dir
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -479,7 +470,7 @@ let tmp_counter = ref 0
 let store cfg key entry =
   Obs.span "cache.store" (fun () ->
       try
-        ensure_dir cfg.dir;
+        Obs.ensure_dir cfg.dir;
         let entry =
           match entry.e_payload with
           | Drat_payload a

@@ -1,8 +1,7 @@
 (* Shared differential-net generator: seeded random closed designs with one
    memory, a simulator ground truth and a verdict signature.  Used by
-   [test_differential] (the four-way EMM/explicit/plain/simulator net),
-   [test_portfolio] (the same designs routed through the in-process Domain
-   portfolio) and [test_vcache] (cold vs. warm verdicts). *)
+   [test_differential] (the four-way EMM/explicit/plain/simulator net) and
+   [test_vcache] (cold vs. warm verdicts). *)
 
 let depth_bound = 8
 

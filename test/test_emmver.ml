@@ -136,6 +136,24 @@ let test_memory_is_peak () =
     (Printf.sprintf "memory_mb %.1f >= earlier peak %.1f" o.Emmver.memory_mb peak_before)
     true (o.Emmver.memory_mb >= peak_before)
 
+(* [proof_dir] may name a directory whose parents do not exist yet: a
+   certified run creates the whole path and writes its DRAT derivation
+   there. *)
+let test_proof_dir_nested () =
+  let root = Filename.temp_file "emmver-proofs" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let net = (Designs.Registry.find "memcpy").Designs.Registry.build () in
+  let options = { Emmver.default_options with certify = true; proof_dir = Some dir } in
+  let o = Emmver.verify ~options ~method_:Emmver.Emm_bmc net ~property:"copied" in
+  Alcotest.(check string) "certificate" "drat-checked" (Cert.label o.Emmver.certificate);
+  let file = Filename.concat dir "copied-emm.drat" in
+  Alcotest.(check bool) (file ^ " written") true (Sys.file_exists file);
+  Sys.remove file;
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root
+
 (* A traced verify on the real clock: the JSON-lines rows carry distinct
    timestamps, and every span lasts as long in the JSON-lines export as in
    the Chrome one, to within a microsecond. *)
@@ -220,5 +238,6 @@ let () =
             test_no_race_when_unreachable;
           Alcotest.test_case "memory is the peak heap" `Quick test_memory_is_peak;
           Alcotest.test_case "trace time resolution" `Quick test_trace_time_resolution;
+          Alcotest.test_case "proof dir with missing parents" `Quick test_proof_dir_nested;
         ] );
     ]

@@ -200,52 +200,6 @@ let test_worker_scope_and_ingest () =
     Alcotest.(check int) "parent spans" 1 (List.length (by_pid 1));
     Alcotest.(check int) "worker spans" 1 (List.length (by_pid 2))
 
-(* {2 Domain merging}
-
-   The portfolio's shape: the parent recorder forks one token per racing
-   domain, each domain records its own spans into a domain-local recorder
-   ([domain_scope]), and the parent ingests the returned rows after the
-   join.  The merged trace must validate and keep one distinct synthetic
-   pid per domain.  A wall clock, not the fixed one: [Clock.fixed] is
-   documented single-domain-only (it mutates unsynchronised state). *)
-
-let test_domain_scope_and_ingest () =
-  let parent = Obs.create ~pid:1 ~track_alloc:false () in
-  with_recorder parent (fun () ->
-      Obs.span "race" (fun () ->
-          let spawned =
-            List.init 3 (fun k ->
-                let token = Obs.domain_fork () in
-                Domain.spawn (fun () ->
-                    Obs.domain_scope token (fun () ->
-                        Obs.span "instance" (fun () ->
-                            Obs.counter_add "work" (k + 1)))))
-          in
-          List.iter
-            (fun d ->
-              let (), rows = Domain.join d in
-              Alcotest.(check bool) "domain produced rows" true (rows <> []);
-              Obs.ingest_current rows)
-            spawned));
-  let rows = Obs.rows parent in
-  check_ok "merged multi-domain trace validates" (Obs.validate rows);
-  match Obs.spans rows with
-  | Error why -> Alcotest.fail why
-  | Ok spans ->
-    let pids =
-      List.sort_uniq compare (List.map (fun s -> s.Obs.sp_pid) spans)
-    in
-    Alcotest.(check int) "parent + 3 domain pids" 4 (List.length pids);
-    Alcotest.(check int) "one instance span per domain" 3
-      (List.length (List.filter (fun s -> s.Obs.sp_name = "instance") spans))
-
-let test_domain_fork_disabled_is_none () =
-  Obs.set_current None;
-  Alcotest.(check bool) "no recorder: no token" true (Obs.domain_fork () = None);
-  let v, rows = Obs.domain_scope None (fun () -> 11) in
-  Alcotest.(check int) "passthrough" 11 v;
-  Alcotest.(check int) "no rows" 0 (List.length rows)
-
 let test_interleaved_pids_validate () =
   (* Ingested rows appear after the parent's even though their timestamps
      interleave; validation is per-pid so this must pass. *)
@@ -513,10 +467,6 @@ let () =
           Alcotest.test_case "scope and ingest" `Quick test_worker_scope_and_ingest;
           Alcotest.test_case "interleaved pid streams" `Quick
             test_interleaved_pids_validate;
-          Alcotest.test_case "multi-domain scope and ingest" `Quick
-            test_domain_scope_and_ingest;
-          Alcotest.test_case "domain fork no-ops when disabled" `Quick
-            test_domain_fork_disabled_is_none;
         ] );
       ( "export",
         [
