@@ -574,10 +574,21 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* A verdict string's class and depth: [`Proved]/[`Falsified] rows carry
+   "at depth N", raw-SAT rows read "sat"/"unsat", anything else is
+   inconclusive. *)
 let verdict_class v =
-  if String.length v >= 6 && String.sub v 0 6 = "proved" then `Proved
-  else if String.length v >= 9 && String.sub v 0 9 = "falsified" then `Falsified
-  else `Inconclusive
+  let rec depth = function
+    | "depth" :: d :: _ -> Scanf.sscanf_opt d "%d" Fun.id
+    | _ :: rest -> depth rest
+    | [] -> None
+  in
+  let depth = depth (String.split_on_char ' ' v) in
+  if String.starts_with ~prefix:"proved" v then (`Proved, depth)
+  else if String.starts_with ~prefix:"falsified" v then (`Falsified, depth)
+  else if v = "unsat" then (`Unsat, None)
+  else if v = "sat" then (`Sat, None)
+  else (`Inconclusive, None)
 
 (* A BENCH_solver.json file's (design, property, method) -> verdict map, read
    from its "rows", and its summed matrix CPU time ("parallel".matrix_cpu_s)
@@ -595,9 +606,7 @@ let read_baseline file =
       Format.eprintf "baseline file %s: %s@." file why;
       exit 2
   in
-  let str key row =
-    match Obs.Json.member key row with Some (Obs.Json.Str s) -> Some s | _ -> None
-  in
+  let str = Obs.Json.str_field in
   let rows =
     match Obs.Json.member "rows" json with Some (Obs.Json.Arr rows) -> rows | _ -> []
   in
@@ -610,22 +619,22 @@ let read_baseline file =
       rows
   in
   let matrix_cpu_s =
-    match Option.bind (Obs.Json.member "parallel" json) (Obs.Json.member "matrix_cpu_s") with
-    | Some (Obs.Json.Num s) -> Some s
-    | _ -> None
+    Option.bind (Obs.Json.member "parallel" json) (Obs.Json.num_field "matrix_cpu_s")
   in
   (verdicts, matrix_cpu_s)
 
 (* Fail (exit 3) if any design/property/method row that was conclusive in
-   the baseline file became inconclusive — the CI regression gate. *)
+   the baseline file is not reproduced exactly — inconclusive now, flipped
+   between proved and falsified (or sat and unsat), or at another depth —
+   the CI regression gate. *)
 let check_against_baseline ~name ~old rows =
   let regressions =
     List.filter_map
       (fun ((key : string * string * string), v) ->
         match List.assoc_opt key old with
         | Some old_v
-          when verdict_class old_v <> `Inconclusive
-               && verdict_class v = `Inconclusive ->
+          when fst (verdict_class old_v) <> `Inconclusive
+               && verdict_class v <> verdict_class old_v ->
           Some (key, old_v, v)
         | _ -> None)
       rows
@@ -976,6 +985,7 @@ let solver_json () =
       Format.printf "%-20s %-16s %-12s %-24s %7.2fs %10d %12d@." design "-" "raw-sat"
         verdict time_s s.Satsolver.Solver.conflicts s.Satsolver.Solver.propagations;
       add_row
+        ~key:((design, "-", "raw-sat"), verdict)
         (json_row ~design ~property:"-" ~method_:"raw-sat" ~verdict ~time_s
            ~solve_time_s:s.Satsolver.Solver.solve_time_s ~encode_time_s:0.0
            ~num_vars:nvars ~num_clauses:(List.length clauses) ~vars_saved:0

@@ -17,12 +17,18 @@ let design_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DESIGN" ~doc)
 
-let load_design name =
-  match Serve.load_design name with
-  | Ok net -> net
+(* A design, method or property the command line names but that does not
+   resolve is a usage error: its message, exit 2. *)
+let or_usage_error = function
+  | Ok v -> v
   | Error msg ->
     Format.eprintf "%s@." msg;
     exit 2
+
+let load_design name = or_usage_error (Serve.load_design name)
+
+let select_properties net ~design property =
+  or_usage_error (Serve.select_properties net ~design property)
 
 let props_cmd =
   let run design =
@@ -156,12 +162,7 @@ let fallback_arg =
   in
   Arg.(value & opt (some string) None & info [ "fallback" ] ~docv:"M1,M2,..." ~doc)
 
-let parse_method name =
-  match Emmver.method_of_string (String.trim name) with
-  | Ok m -> m
-  | Error msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
+let parse_method name = or_usage_error (Emmver.method_of_string (String.trim name))
 
 let policy_of_fallback = function
   | None -> None
@@ -217,11 +218,7 @@ let verify_cmd =
       |> cache_options ~cache ~no_cache ~cache_dir
     in
     let policy = policy_of_fallback fallback in
-    let props =
-      match property with
-      | Some p -> [ p ]
-      | None -> List.map fst (Netlist.properties net)
-    in
+    let props = select_properties net ~design property in
     let worst = ref 0 in
     List.iter
       (fun (prop, outcome) ->
@@ -280,11 +277,7 @@ let portfolio_cmd =
       { Emmver.default_options with max_depth; timeout_s; certify }
       |> cache_options ~cache ~no_cache ~cache_dir
     in
-    let props =
-      match property with
-      | Some p -> [ p ]
-      | None -> List.map fst (Netlist.properties net)
-    in
+    let props = select_properties net ~design property in
     let worst = ref 0 in
     List.iter
       (fun prop ->

@@ -271,25 +271,6 @@ type format = Jsonl | Chrome
 let format_of_path path =
   if Filename.check_suffix path ".jsonl" then Jsonl else Chrome
 
-let escape_into b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let add_str b s =
-  Buffer.add_char b '"';
-  escape_into b s;
-  Buffer.add_char b '"'
-
 (* Deterministic number rendering: integers without a fraction, everything
    else with six significant digits. *)
 let add_num b (x : float) =
@@ -297,22 +278,18 @@ let add_num b (x : float) =
     Buffer.add_string b (Printf.sprintf "%.0f" x)
   else Buffer.add_string b (Printf.sprintf "%.6g" x)
 
-let add_value b = function
-  | Str s -> add_str b s
-  | Int i -> Buffer.add_string b (string_of_int i)
+let add_value v b =
+  match v with
+  | Str s -> Json.str s b
+  | Int i -> Json.int i b
   | Float f -> add_num b f
-  | Bool bo -> Buffer.add_string b (if bo then "true" else "false")
+  | Bool bo -> Json.bool bo b
 
 let add_attrs b attrs =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      add_str b k;
-      Buffer.add_char b ':';
-      add_value b v)
-    attrs;
-  Buffer.add_char b '}'
+  Json.obj
+    (fun b ->
+      List.iteri (fun i (k, v) -> Json.field b ~first:(i = 0) k (add_value v)) attrs)
+    b
 
 (* Timestamps: JSON-lines keeps the raw clock readings ("ts", seconds) at
    microsecond resolution, the wall clock's own (epoch seconds take ten
@@ -326,7 +303,7 @@ let add_common b ~ph ~name ~ts ~pid =
   Buffer.add_string b "{\"ph\":\"";
   Buffer.add_string b ph;
   Buffer.add_string b "\",\"name\":";
-  add_str b name;
+  Json.add_string b name;
   Buffer.add_string b ",\"ts\":";
   if Float.is_integer ts then add_num b ts
   else Buffer.add_string b (Printf.sprintf "%.6f" ts);
@@ -433,163 +410,6 @@ let run_with_trace ?clock ?out ~label f =
     at_exit write;
     Fun.protect (fun () -> span label f) ~finally:write
 
-(* {2 A minimal JSON reader} *)
+(* {2 JSON} *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Fail of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = raise (Fail (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some d when d = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let literal word v =
-      String.iter (fun c -> expect c) word;
-      v
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char b '"'
-          | Some '\\' -> Buffer.add_char b '\\'
-          | Some '/' -> Buffer.add_char b '/'
-          | Some 'b' -> Buffer.add_char b '\b'
-          | Some 'f' -> Buffer.add_char b '\012'
-          | Some 'n' -> Buffer.add_char b '\n'
-          | Some 'r' -> Buffer.add_char b '\r'
-          | Some 't' -> Buffer.add_char b '\t'
-          | Some 'u' ->
-            (* Decode the escape; non-ASCII code points come back as '?'
-               (the exporter never emits them). *)
-            if !pos + 4 >= n then fail "truncated \\u escape";
-            let hex = String.sub s (!pos + 1) 4 in
-            let code =
-              try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-            in
-            pos := !pos + 4;
-            Buffer.add_char b (if code < 128 then Char.chr code else '?')
-          | _ -> fail "bad escape");
-          advance ();
-          go ()
-        | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while match peek () with Some c when is_num_char c -> true | _ -> false do
-        advance ()
-      done;
-      if !pos = start then fail "expected a number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              elements (v :: acc)
-            | Some ']' ->
-              advance ();
-              List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (elements [])
-        end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-      | None -> fail "unexpected end of input"
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Fail m -> Error m
-
-  let member key = function
-    | Obj kvs -> List.assoc_opt key kvs
-    | Null | Bool _ | Num _ | Str _ | Arr _ -> None
-end
+module Json = Json

@@ -208,21 +208,12 @@ val run_with_trace : ?clock:Clock.t -> ?out:string -> label:string -> (unit -> '
     [exit] (an [at_exit] hook covers the latter; open spans are closed
     first).  Otherwise exactly [f ()]. *)
 
-(** {1 A minimal JSON reader}
+(** {1 A minimal JSON reader and writer}
 
-    Just enough JSON to parse traces back in the golden tests, serve's
-    protocol and journal, the cache store's entries and bench's baseline
-    file — not a general-purpose implementation. *)
+    Just enough JSON for the formats the platform owns: serve's protocol
+    and journal, the cache store's entries, the trace exporters and bench's
+    baseline file — not a general-purpose implementation.  This is the one
+    JSON codec of the code base: every format renders and reads through
+    it. *)
 
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  val member : string -> t -> t option
-end
+module Json = Json

@@ -39,14 +39,12 @@ let default =
 
 type 'r attempt_result = Done of 'r | Soft of 'r | Failed of error
 
-let execute ?(on_event = fun _ -> ()) policy ~stages ~stage_name ~run =
+let execute policy ~stages ~stage_name ~run =
   let events = ref [] in
   let record stage attempt error elapsed =
-    let ev =
+    events :=
       { ev_stage = stage; ev_attempt = attempt; ev_error = error; ev_elapsed_s = elapsed }
-    in
-    events := ev :: !events;
-    on_event ev
+      :: !events
   in
   let soft = ref None in
   let last_error = ref None in

@@ -64,7 +64,6 @@ type 'r attempt_result =
   | Failed of error  (** the stage failed; consult the policy *)
 
 val execute :
-  ?on_event:(event -> unit) ->
   t ->
   stages:'s list ->
   stage_name:('s -> string) ->
@@ -74,5 +73,4 @@ val execute :
     {!Worker_killed} is retried on the same stage up to [worker_retries]
     times; any other failure advances the chain.  When no stage concludes,
     the first [Soft] result (if any) is returned as [Ok]; otherwise the last
-    error.  Degradation events are returned in chronological order and also
-    streamed to [on_event]. *)
+    error.  Degradation events are returned in chronological order. *)

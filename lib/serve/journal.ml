@@ -22,217 +22,79 @@
 
 let magic = "EMMVER-JOURNAL 1"
 
-type submit = {
-  a_job : int;
-  a_tenant : string;
-  a_req : string;
-  a_design : string;
-  a_property : string;
-  a_method : string;
-  a_max_depth : int option;
-  a_timeout_s : float option;
-  a_cache : bool option;
-}
-
-type result = {
-  f_job : int;
-  f_tenant : string;
-  f_req : string;
-  f_property : string;
-  f_method : string;
-  f_verdict : string;
-  f_depth : int option;
-  f_induction : bool option;
-  f_genuine : bool option;
-  f_reason : string option;
-  f_time_s : float;
-  f_cache : string;
-  f_certificate : string;
-}
-
 type record =
-  | Accepted of submit
+  | Accepted of { job : int; tenant : string; submit : Proto.submit }
   | Started of { job : int; pid : int; token : string }
-  | Finished of result
+  | Finished of { tenant : string; line : Proto.result_line }
   | Acked of { job : int }
   | Cancelled of { job : int }
 
-(* {2 Canonical rendering} — same discipline as the wire protocol: fixed
-   field order, [%.3f] floats, so a record has exactly one byte form. *)
-
-let add_jstring b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_field b ~first name f =
-  if not first then Buffer.add_char b ',';
-  add_jstring b name;
-  Buffer.add_char b ':';
-  f b
-
-let jint n b = Buffer.add_string b (string_of_int n)
-let jfloat x b = Buffer.add_string b (Printf.sprintf "%.3f" x)
-let jbool v b = Buffer.add_string b (if v then "true" else "false")
-let jstr s b = add_jstring b s
-
-let render f =
-  let b = Buffer.create 128 in
-  Buffer.add_char b '{';
-  f b;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let opt b name f = function
-  | Some v -> add_field b ~first:false name (f v)
-  | None -> ()
-
-let record_to_json = function
-  | Accepted a ->
-    render (fun b ->
-        add_field b ~first:true "rec" (jstr "accepted");
-        add_field b ~first:false "job" (jint a.a_job);
-        add_field b ~first:false "tenant" (jstr a.a_tenant);
-        add_field b ~first:false "req" (jstr a.a_req);
-        add_field b ~first:false "design" (jstr a.a_design);
-        add_field b ~first:false "property" (jstr a.a_property);
-        add_field b ~first:false "method" (jstr a.a_method);
-        opt b "max_depth" jint a.a_max_depth;
-        opt b "timeout_s" jfloat a.a_timeout_s;
-        opt b "cache" jbool a.a_cache)
-  | Started { job; pid; token } ->
-    render (fun b ->
-        add_field b ~first:true "rec" (jstr "started");
-        add_field b ~first:false "job" (jint job);
-        add_field b ~first:false "pid" (jint pid);
-        add_field b ~first:false "token" (jstr token))
-  | Finished f ->
-    render (fun b ->
-        add_field b ~first:true "rec" (jstr "result");
-        add_field b ~first:false "job" (jint f.f_job);
-        add_field b ~first:false "tenant" (jstr f.f_tenant);
-        add_field b ~first:false "req" (jstr f.f_req);
-        add_field b ~first:false "property" (jstr f.f_property);
-        add_field b ~first:false "method" (jstr f.f_method);
-        add_field b ~first:false "verdict" (jstr f.f_verdict);
-        opt b "depth" jint f.f_depth;
-        opt b "induction" jbool f.f_induction;
-        opt b "genuine" jbool f.f_genuine;
-        opt b "reason" jstr f.f_reason;
-        add_field b ~first:false "time_s" (jfloat f.f_time_s);
-        add_field b ~first:false "cache" (jstr f.f_cache);
-        add_field b ~first:false "certificate" (jstr f.f_certificate))
-  | Acked { job } ->
-    render (fun b ->
-        add_field b ~first:true "rec" (jstr "acked");
-        add_field b ~first:false "job" (jint job))
-  | Cancelled { job } ->
-    render (fun b ->
-        add_field b ~first:true "rec" (jstr "cancelled");
-        add_field b ~first:false "job" (jint job))
-
-(* {2 Parsing} *)
+(* {2 Canonical rendering} — the wire protocol's own codec: each record
+   carries its header fields (kind, job, tenant, request id), then exactly
+   the fields of the protocol's submit or result, rendered by {!Proto}. *)
 
 open Obs.Json
 
-let str_field name o =
-  match member name o with Some (Str s) -> Some s | _ -> None
+let record_to_json r =
+  let kind name fields =
+    render (fun b ->
+        field b ~first:true "rec" (str name);
+        fields b)
+  in
+  let job_only name job = kind name (fun b -> field b ~first:false "job" (int job)) in
+  match r with
+  | Accepted { job; tenant; submit } ->
+    kind "accepted" (fun b ->
+        field b ~first:false "job" (int job);
+        field b ~first:false "tenant" (str tenant);
+        field b ~first:false "req" (str submit.Proto.s_id);
+        Proto.add_submit_fields b submit)
+  | Started { job; pid; token } ->
+    kind "started" (fun b ->
+        field b ~first:false "job" (int job);
+        field b ~first:false "pid" (int pid);
+        field b ~first:false "token" (str token))
+  | Finished { tenant; line } ->
+    kind "result" (fun b ->
+        field b ~first:false "job" (int line.Proto.r_job);
+        field b ~first:false "tenant" (str tenant);
+        field b ~first:false "req" (str line.Proto.r_id);
+        Proto.add_result_fields b line)
+  | Acked { job } -> job_only "acked" job
+  | Cancelled { job } -> job_only "cancelled" job
 
-let int_field name o =
-  match member name o with Some (Num n) -> Some (int_of_float n) | _ -> None
-
-let num_field name o = match member name o with Some (Num n) -> Some n | _ -> None
-
-let bool_field name o =
-  match member name o with Some (Bool v) -> Some v | _ -> None
-
-let required what = function
-  | Some v -> Ok v
-  | None -> Stdlib.Error (Printf.sprintf "missing or ill-typed field %S" what)
-
-let ( let* ) r f = match r with Ok v -> f v | Stdlib.Error _ as e -> e
+(* {2 Parsing} *)
 
 let record_of_json body =
   match parse body with
-  | Stdlib.Error e -> Stdlib.Error ("bad JSON: " ^ e)
+  | Error e -> Error ("bad JSON: " ^ e)
   | Ok o -> (
     let* kind = required "rec" (str_field "rec" o) in
+    let* job = required "job" (int_field "job" o) in
+    let req = Option.value (str_field "req" o) ~default:"" in
     match kind with
     | "accepted" ->
-      let* a_job = required "job" (int_field "job" o) in
-      let* a_tenant = required "tenant" (str_field "tenant" o) in
-      let* a_design = required "design" (str_field "design" o) in
-      let* a_property = required "property" (str_field "property" o) in
-      let* a_method = required "method" (str_field "method" o) in
-      Ok
-        (Accepted
-           {
-             a_job;
-             a_tenant;
-             a_req = Option.value (str_field "req" o) ~default:"";
-             a_design;
-             a_property;
-             a_method;
-             a_max_depth = int_field "max_depth" o;
-             a_timeout_s = num_field "timeout_s" o;
-             a_cache = bool_field "cache" o;
-           })
+      let* tenant = required "tenant" (str_field "tenant" o) in
+      (* A job checks one property: a submit without one (the wire's "every
+         property") is not a journal record. *)
+      let* _ = required "property" (str_field "property" o) in
+      let* submit = Proto.submit_of_json ~id:req o in
+      Ok (Accepted { job; tenant; submit })
     | "started" ->
-      let* job = required "job" (int_field "job" o) in
       let* pid = required "pid" (int_field "pid" o) in
       let* token = required "token" (str_field "token" o) in
       Ok (Started { job; pid; token })
     | "result" ->
-      let* f_job = required "job" (int_field "job" o) in
-      let* f_tenant = required "tenant" (str_field "tenant" o) in
-      let* f_property = required "property" (str_field "property" o) in
-      let* f_method = required "method" (str_field "method" o) in
-      let* f_verdict = required "verdict" (str_field "verdict" o) in
-      let* f_time_s = required "time_s" (num_field "time_s" o) in
-      let* f_cache = required "cache" (str_field "cache" o) in
-      let* f_certificate = required "certificate" (str_field "certificate" o) in
-      Ok
-        (Finished
-           {
-             f_job;
-             f_tenant;
-             f_req = Option.value (str_field "req" o) ~default:"";
-             f_property;
-             f_method;
-             f_verdict;
-             f_depth = int_field "depth" o;
-             f_induction = bool_field "induction" o;
-             f_genuine = bool_field "genuine" o;
-             f_reason = str_field "reason" o;
-             f_time_s;
-             f_cache;
-             f_certificate;
-           })
-    | "acked" ->
-      let* job = required "job" (int_field "job" o) in
-      Ok (Acked { job })
-    | "cancelled" ->
-      let* job = required "job" (int_field "job" o) in
-      Ok (Cancelled { job })
-    | kind -> Stdlib.Error (Printf.sprintf "unknown record kind %S" kind))
+      let* tenant = required "tenant" (str_field "tenant" o) in
+      let* line = Proto.result_of_json ~job ~id:req o in
+      Ok (Finished { tenant; line })
+    | "acked" -> Ok (Acked { job })
+    | "cancelled" -> Ok (Cancelled { job })
+    | kind -> Error (Printf.sprintf "unknown record kind %S" kind))
 
 let job_of = function
-  | Accepted a -> a.a_job
-  | Started { job; _ } -> job
-  | Finished f -> f.f_job
-  | Acked { job } -> job
-  | Cancelled { job } -> job
+  | Accepted { job; _ } | Started { job; _ } | Acked { job } | Cancelled { job } -> job
+  | Finished { line; _ } -> line.Proto.r_job
 
 (* {2 Live state}
 
@@ -241,9 +103,9 @@ let job_of = function
    the recovery view without a second pass. *)
 
 type jstate = {
-  mutable js_submit : submit option;
+  mutable js_submit : (string * Proto.submit) option;  (** tenant, submit *)
   mutable js_started : (int * string) option;
-  mutable js_result : result option;
+  mutable js_result : (string * Proto.result_line) option;  (** tenant, line *)
   mutable js_closed : bool;  (** acked or cancelled: nothing left to do *)
   mutable js_lines : int;  (** journal lines this job occupies *)
 }
@@ -259,9 +121,9 @@ type t = {
 }
 
 type recovery = {
-  pending : submit list;
+  pending : (int * string * Proto.submit) list;
   orphans : (int * int * string) list;
-  undelivered : result list;
+  undelivered : (string * Proto.result_line) list;
   next_job : int;
   replayed : int;
   corrupt : int;
@@ -289,10 +151,11 @@ let apply t r =
   if s.js_closed then t.dead <- t.dead + 1
   else
     match r with
-    | Accepted a -> if s.js_submit = None then s.js_submit <- Some a
+    | Accepted { tenant; submit; _ } ->
+      if s.js_submit = None then s.js_submit <- Some (tenant, submit)
     | Started { pid; token; _ } -> s.js_started <- Some (pid, token)
-    | Finished f ->
-      if s.js_result = None then s.js_result <- Some f;
+    | Finished { tenant; line } ->
+      if s.js_result = None then s.js_result <- Some (tenant, line);
       s.js_started <- None
     | Acked _ | Cancelled _ ->
       s.js_closed <- true;
@@ -319,12 +182,12 @@ let line_of_record r =
 let parse_line line =
   (* <32 hex chars> <space> <json> *)
   let n = String.length line in
-  if n < 34 || line.[32] <> ' ' then Stdlib.Error "malformed line"
+  if n < 34 || line.[32] <> ' ' then Error "malformed line"
   else
     let sum = String.sub line 0 32 in
     let body = String.sub line 33 (n - 33) in
     if not (String.equal sum (Digest.to_hex (Digest.string body))) then
-      Stdlib.Error "checksum mismatch"
+      Error "checksum mismatch"
     else record_of_json body
 
 (* {2 Compaction}
@@ -341,11 +204,15 @@ let live_records t =
   |> List.concat_map (fun (job, s) ->
          List.concat
            [
-             (match s.js_submit with Some a -> [ Accepted a ] | None -> []);
+             (match s.js_submit with
+             | Some (tenant, submit) -> [ Accepted { job; tenant; submit } ]
+             | None -> []);
              (match s.js_started with
              | Some (pid, token) -> [ Started { job; pid; token } ]
              | None -> []);
-             (match s.js_result with Some f -> [ Finished f ] | None -> []);
+             (match s.js_result with
+             | Some (tenant, line) -> [ Finished { tenant; line } ]
+             | None -> []);
            ])
 
 let compact t =
@@ -444,7 +311,7 @@ let open_ path =
                t.records <- t.records + 1;
                incr replayed;
                apply t r
-             | Stdlib.Error _ -> incr corrupt)
+             | Error _ -> incr corrupt)
          lines
      | lines ->
        (* Wrong or missing header: nothing in this file can be trusted to
@@ -456,8 +323,10 @@ let open_ path =
   in
   let pending =
     List.filter_map
-      (fun (_, s) ->
-        match (s.js_submit, s.js_result) with Some a, None -> Some a | _ -> None)
+      (fun (job, s) ->
+        match (s.js_submit, s.js_result) with
+        | Some (tenant, submit), None -> Some (job, tenant, submit)
+        | _ -> None)
       open_jobs
   in
   let orphans =
@@ -468,10 +337,7 @@ let open_ path =
         | _ -> None)
       open_jobs
   in
-  let undelivered =
-    List.filter_map (fun (_, s) -> s.js_result) open_jobs
-    |> List.sort (fun a b -> compare a.f_job b.f_job)
-  in
+  let undelivered = List.filter_map (fun (_, s) -> s.js_result) open_jobs in
   let next_job = 1 + Hashtbl.fold (fun job _ acc -> max job acc) t.jobs 0 in
   (* The previous incarnation's workers are dead (or about to be reaped by
      the caller): a [started] record must not survive into the fresh file,

@@ -9,7 +9,14 @@
     {e before} the wire [accepted] reply), [started] (worker pid + process
     token, for orphan reaping after a hard daemon death), [result] (fsync'd
     {e before} the result is pushed or retained), and [acked]/[cancelled]
-    (the job is closed, its lines are garbage).  Compaction rewrites the
+    (the job is closed, its lines are garbage).
+
+    Records are the protocol's own values: an [accepted] record holds a
+    {!Proto.submit} and a [result] record a {!Proto.result_line}, rendered
+    and read by {!Proto}'s codec behind a few header fields ([rec], [job],
+    [tenant], [req]).  The byte format is the one the journal has always
+    had — header, field names, field order, [%.3f] times and checksums —
+    so a daemon replays its predecessor's file.  Compaction rewrites the
     file to just the open jobs with the vcache store discipline: tmp file,
     fsync, atomic [rename], directory fsync.
 
@@ -17,44 +24,19 @@
     state, and {!open_} itself compacts, so a journal that crashed during
     compaction or grew a corrupt tail is clean again after one open. *)
 
-type submit = {
-  a_job : int;  (** daemon-assigned job id, reused verbatim at recovery *)
-  a_tenant : string;  (** the [hello] client name the job belongs to *)
-  a_req : string;  (** the client's request id (echoed in results) *)
-  a_design : string;
-  a_property : string;
-  a_method : string;
-  a_max_depth : int option;
-  a_timeout_s : float option;
-  a_cache : bool option;
-}
-(** Everything needed to re-create the job after a restart. *)
-
-type result = {
-  f_job : int;
-  f_tenant : string;
-  f_req : string;
-  f_property : string;
-  f_method : string;
-  f_verdict : string;
-  f_depth : int option;
-  f_induction : bool option;
-  f_genuine : bool option;
-  f_reason : string option;
-  f_time_s : float;
-  f_cache : string;
-  f_certificate : string;
-}
-(** A completed result, field-for-field what the wire [result] line
-    carries, plus the owning tenant. *)
-
 type record =
-  | Accepted of submit
+  | Accepted of { job : int; tenant : string; submit : Proto.submit }
+      (** everything needed to re-create the job after a restart: the
+          daemon-assigned job id (reused verbatim at recovery), the owning
+          tenant (the [hello] client name) and the protocol's submit,
+          narrowed to the one property this job checks *)
   | Started of { job : int; pid : int; token : string }
       (** [token] is {!Parallel.process_token} of the worker, recorded so
           a restarted daemon can SIGKILL the orphan without trusting a
           possibly-recycled pid *)
-  | Finished of result
+  | Finished of { tenant : string; line : Proto.result_line }
+      (** the completed result, exactly the wire [result] line, plus the
+          owning tenant *)
   | Acked of { job : int }  (** the client confirmed delivery *)
   | Cancelled of { job : int }  (** the job will never run (abandoned) *)
 
@@ -63,11 +45,14 @@ type t
     projection and dead-line accounting). *)
 
 type recovery = {
-  pending : submit list;  (** accepted, no result yet — re-enqueue these *)
+  pending : (int * string * Proto.submit) list;
+      (** [(job, tenant, submit)] accepted, no result yet — re-enqueue
+          these *)
   orphans : (int * int * string) list;
       (** [(job, pid, token)] for pending jobs that were mid-run: feed to
           {!Parallel.reap_orphan} before re-running them *)
-  undelivered : result list;  (** completed but never acked — retain these *)
+  undelivered : (string * Proto.result_line) list;
+      (** [(tenant, line)] completed but never acked — retain these *)
   next_job : int;  (** 1 + highest job id ever journalled *)
   replayed : int;  (** valid records read back *)
   corrupt : int;  (** lines skipped (bad checksum, torn tail, bad JSON) *)
@@ -112,6 +97,8 @@ val path : t -> string
 
 (**/**)
 
-(* Exposed for tests: the exact byte form of one journal line. *)
+(* Exposed for tests: the exact byte form of one journal line, and its
+   checksum-verifying parser. *)
 val line_of_record : record -> string
 val record_to_json : record -> string
+val parse_line : string -> (record, string) result

@@ -60,34 +60,12 @@ type entry = {
   e_payload : payload;
 }
 
-(* {2 JSON writing} *)
+(* {2 JSON writing} — {!Obs.Json}'s writer; times keep full precision
+   ([%.17g]), so a stored entry reads back bit for bit. *)
 
-let add_jstring b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+module J = Obs.Json
 
-let add_field b ~first name f =
-  if not first then Buffer.add_char b ',';
-  add_jstring b name;
-  Buffer.add_char b ':';
-  f b
-
-let jint n b = Buffer.add_string b (string_of_int n)
 let jfloat x b = Buffer.add_string b (Printf.sprintf "%.17g" x)
-let jbool v b = Buffer.add_string b (if v then "true" else "false")
-let jstr s b = add_jstring b s
 
 (* {2 Signals, traces, DRAT artifacts as JSON-friendly values} *)
 
@@ -105,75 +83,34 @@ let bits_of_string s = Array.init (String.length s) (fun i -> s.[i] = '1')
 let string_of_bits a =
   String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
 
-let trace_to_json (t : Bmc.Trace.t) b =
-  Buffer.add_char b '{';
-  add_field b ~first:true "property" (jstr t.Bmc.Trace.property);
-  add_field b ~first:false "depth" (jint t.Bmc.Trace.depth);
-  add_field b ~first:false "inputs" (fun b ->
-      Buffer.add_char b '[';
-      Array.iteri
-        (fun i frame ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          List.iteri
-            (fun j (name, v) ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_char b '[';
-              add_jstring b name;
-              Buffer.add_char b ',';
-              jbool v b;
-              Buffer.add_char b ']')
-            frame;
-          Buffer.add_char b ']')
-        t.Bmc.Trace.inputs;
-      Buffer.add_char b ']');
-  add_field b ~first:false "latch0" (fun b ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j (name, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          add_jstring b name;
-          Buffer.add_char b ',';
-          jbool v b;
-          Buffer.add_char b ']')
-        t.Bmc.Trace.latch0;
-      Buffer.add_char b ']');
-  add_field b ~first:false "mem_init" (fun b ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j (name, words) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '[';
-          add_jstring b name;
-          Buffer.add_string b ",[";
-          List.iteri
-            (fun k (a, w) ->
-              if k > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (Printf.sprintf "[%d,%d]" a w))
-            words;
-          Buffer.add_string b "]]")
-        t.Bmc.Trace.mem_init;
-      Buffer.add_char b ']');
-  add_field b ~first:false "watch" (fun b ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j (w : Bmc.Trace.watch) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '{';
-          add_field b ~first:true "name" (jstr w.Bmc.Trace.w_name);
-          add_field b ~first:false "signal" (jint (signal_code w.Bmc.Trace.w_signal));
-          add_field b ~first:false "enable"
-            (jint
-               (match w.Bmc.Trace.w_enable with
-               | Some e -> signal_code e
-               | None -> -1));
-          add_field b ~first:false "values"
-            (jstr (string_of_bits w.Bmc.Trace.w_values));
-          Buffer.add_char b '}')
-        t.Bmc.Trace.watch;
-      Buffer.add_char b ']');
-  Buffer.add_char b '}'
+let trace_to_json (t : Bmc.Trace.t) =
+  let tuple = J.arr Fun.id in
+  let pairs = J.arr (fun (name, v) -> tuple [ J.str name; J.bool v ]) in
+  J.obj (fun b ->
+      J.field b ~first:true "property" (J.str t.Bmc.Trace.property);
+      J.field b ~first:false "depth" (J.int t.Bmc.Trace.depth);
+      J.field b ~first:false "inputs" (J.arr pairs (Array.to_list t.Bmc.Trace.inputs));
+      J.field b ~first:false "latch0" (pairs t.Bmc.Trace.latch0);
+      J.field b ~first:false "mem_init"
+        (J.arr
+           (fun (name, words) ->
+             tuple [ J.str name; J.arr (fun (a, w) -> J.arr J.int [ a; w ]) words ])
+           t.Bmc.Trace.mem_init);
+      J.field b ~first:false "watch"
+        (J.arr
+           (fun (w : Bmc.Trace.watch) ->
+             J.obj (fun b ->
+                 J.field b ~first:true "name" (J.str w.Bmc.Trace.w_name);
+                 J.field b ~first:false "signal"
+                   (J.int (signal_code w.Bmc.Trace.w_signal));
+                 J.field b ~first:false "enable"
+                   (J.int
+                      (match w.Bmc.Trace.w_enable with
+                      | Some e -> signal_code e
+                      | None -> -1));
+                 J.field b ~first:false "values"
+                   (J.str (string_of_bits w.Bmc.Trace.w_values))))
+           t.Bmc.Trace.watch))
 
 (* DRAT artifacts travel as DIMACS text: one clause/cube per line terminated
    by 0, deletions prefixed with "d " — compact and trivially stable. *)
@@ -270,60 +207,56 @@ let cubes_of_dimacs s =
 (* {2 Entry rendering} *)
 
 let entry_to_json e =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '{';
-  add_field b ~first:true "version" (jint 1);
-  add_field b ~first:false "method" (jstr e.e_method);
-  (match e.e_verdict with
-  | Proved { depth; induction } ->
-    add_field b ~first:false "verdict" (jstr "proved");
-    add_field b ~first:false "depth" (jint depth);
-    add_field b ~first:false "induction" (jbool induction)
-  | Falsified { depth } ->
-    add_field b ~first:false "verdict" (jstr "falsified");
-    add_field b ~first:false "depth" (jint depth)
-  | Bounded { depth; reason } ->
-    add_field b ~first:false "verdict" (jstr "bounded");
-    add_field b ~first:false "depth" (jint depth);
-    add_field b ~first:false "reason" (jstr reason));
-  add_field b ~first:false "time_s" (jfloat e.e_time_s);
-  add_field b ~first:false "solve_time_s" (jfloat e.e_solve_time_s);
-  add_field b ~first:false "model_vars" (jint e.e_model_vars);
-  add_field b ~first:false "model_clauses" (jint e.e_model_clauses);
-  add_field b ~first:false "model_latches" (jint e.e_model_latches);
-  add_field b ~first:false "cert" (jstr e.e_cert);
-  add_field b ~first:false "created" (jfloat e.e_created);
-  (match e.e_payload with
-  | No_payload -> add_field b ~first:false "payload" (jstr "none")
-  | Trace_payload t ->
-    add_field b ~first:false "payload" (jstr "trace");
-    add_field b ~first:false "trace" (trace_to_json t)
-  | Drat_payload a ->
-    add_field b ~first:false "payload" (jstr "drat");
-    add_field b ~first:false "drat" (fun b ->
-        Buffer.add_char b '{';
-        add_field b ~first:true "num_vars" (jint a.Bmc.Engine.ca_num_vars);
-        add_field b ~first:false "cnf"
-          (jstr (dimacs_of_clauses a.Bmc.Engine.ca_original));
-        add_field b ~first:false "proof" (jstr (dimacs_of_proof a.Bmc.Engine.ca_proof));
-        add_field b ~first:false "obligations"
-          (jstr (dimacs_of_clauses a.Bmc.Engine.ca_obligations));
-        Buffer.add_char b '}'));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  J.render (fun b ->
+      J.field b ~first:true "version" (J.int 1);
+      J.field b ~first:false "method" (J.str e.e_method);
+      (match e.e_verdict with
+      | Proved { depth; induction } ->
+        J.field b ~first:false "verdict" (J.str "proved");
+        J.field b ~first:false "depth" (J.int depth);
+        J.field b ~first:false "induction" (J.bool induction)
+      | Falsified { depth } ->
+        J.field b ~first:false "verdict" (J.str "falsified");
+        J.field b ~first:false "depth" (J.int depth)
+      | Bounded { depth; reason } ->
+        J.field b ~first:false "verdict" (J.str "bounded");
+        J.field b ~first:false "depth" (J.int depth);
+        J.field b ~first:false "reason" (J.str reason));
+      J.field b ~first:false "time_s" (jfloat e.e_time_s);
+      J.field b ~first:false "solve_time_s" (jfloat e.e_solve_time_s);
+      J.field b ~first:false "model_vars" (J.int e.e_model_vars);
+      J.field b ~first:false "model_clauses" (J.int e.e_model_clauses);
+      J.field b ~first:false "model_latches" (J.int e.e_model_latches);
+      J.field b ~first:false "cert" (J.str e.e_cert);
+      J.field b ~first:false "created" (jfloat e.e_created);
+      match e.e_payload with
+      | No_payload -> J.field b ~first:false "payload" (J.str "none")
+      | Trace_payload t ->
+        J.field b ~first:false "payload" (J.str "trace");
+        J.field b ~first:false "trace" (trace_to_json t)
+      | Drat_payload a ->
+        J.field b ~first:false "payload" (J.str "drat");
+        J.field b ~first:false "drat"
+          (J.obj (fun b ->
+               J.field b ~first:true "num_vars" (J.int a.Bmc.Engine.ca_num_vars);
+               J.field b ~first:false "cnf"
+                 (J.str (dimacs_of_clauses a.Bmc.Engine.ca_original));
+               J.field b ~first:false "proof"
+                 (J.str (dimacs_of_proof a.Bmc.Engine.ca_proof));
+               J.field b ~first:false "obligations"
+                 (J.str (dimacs_of_clauses a.Bmc.Engine.ca_obligations)))))
 
 (* {2 Entry parsing} *)
 
 open Obs.Json
 
-let str_field name o = match member name o with Some (Str s) -> s | _ -> raise Corrupt
-let num_field name o =
-  match member name o with Some (Num n) -> n | _ -> raise Corrupt
-
-let int_field name o = int_of_float (num_field name o)
-
-let bool_field name o =
-  match member name o with Some (Bool v) -> v | _ -> raise Corrupt
+(* Every field of an entry is required: a missing or ill-typed one makes
+   the whole entry a miss. *)
+let need = function Some v -> v | None -> raise Corrupt
+let str_field name o = need (str_field name o)
+let num_field name o = need (num_field name o)
+let int_field name o = need (int_field name o)
+let bool_field name o = need (bool_field name o)
 
 let pairs_field name o =
   match member name o with

@@ -1,7 +1,8 @@
 (* Shared differential-net generator: seeded random closed designs with one
    memory, a simulator ground truth and a verdict signature.  Used by
-   [test_differential] (the four-way EMM/explicit/plain/simulator net) and
-   [test_vcache] (cold vs. warm verdicts). *)
+   [test_differential] (the four-way EMM/explicit/plain/simulator net),
+   [test_vcache] (cold vs. warm verdicts) and [test_parallel] (sequential
+   vs. forked verdicts). *)
 
 let depth_bound = 8
 

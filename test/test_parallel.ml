@@ -194,74 +194,11 @@ let test_exception_reaps_workers () =
 
 (* {2 Differential: forked fan-out never changes a verdict}
 
-   The 50 seeded random memory designs of test_differential.ml (same
-   generator constants), verified sequentially and through a 4-worker pool:
-   the conclusions must match slot for slot. *)
+   The 50 seeded random memory designs of test_differential.ml (the shared
+   {!Diffgen} generator), verified sequentially and through a 4-worker
+   pool: the conclusions must match slot for slot. *)
 
-type cfg = {
-  id : int;
-  aw : int;
-  dw : int;
-  wports : int;
-  rports : int;
-  arbitrary : bool;
-  wconsts : int array;
-  dconsts : int array;
-  rconsts : int array;
-  en_bit : int option;
-  prop_on_acc : bool;
-  target : int;
-}
-
-let random_cfg id =
-  let st = Random.State.make [| 0x3d1f; id |] in
-  let aw = 1 + Random.State.int st 2 in
-  let dw = 1 + Random.State.int st 3 in
-  let wports = 1 + Random.State.int st 2 in
-  let rports = 1 + Random.State.int st 2 in
-  let const8 () = Random.State.int st 8 in
-  {
-    id;
-    aw;
-    dw;
-    wports;
-    rports;
-    arbitrary = Random.State.bool st;
-    wconsts = Array.init wports (fun _ -> const8 ());
-    dconsts = Array.init wports (fun _ -> const8 ());
-    rconsts = Array.init rports (fun _ -> const8 ());
-    en_bit = (if Random.State.bool st then Some (Random.State.int st 3) else None);
-    prop_on_acc = Random.State.bool st;
-    target = Random.State.int st (1 lsl dw);
-  }
-
-let build cfg =
-  let ctx = Hdl.create () in
-  let init = if cfg.arbitrary then Netlist.Arbitrary else Netlist.Zeros in
-  let mem = Hdl.memory ctx ~name:"m" ~addr_width:cfg.aw ~data_width:cfg.dw ~init in
-  let cnt = Hdl.reg ctx "cnt" ~width:3 in
-  Hdl.connect ctx cnt (Hdl.incr ctx cnt);
-  let addr_of c =
-    Hdl.select (Hdl.xor_v ctx cnt (Hdl.const ~width:3 c)) ~hi:(cfg.aw - 1) ~lo:0
-  in
-  let data_of c = Hdl.uresize (Hdl.xor_v ctx cnt (Hdl.const ~width:3 c)) ~width:cfg.dw in
-  let en0 =
-    match cfg.en_bit with None -> Netlist.true_ | Some b -> Hdl.bit_of cnt b
-  in
-  for w = 0 to cfg.wports - 1 do
-    let enable = if w = 0 then en0 else Netlist.not_ en0 in
-    Hdl.write_port ctx mem ~addr:(addr_of cfg.wconsts.(w)) ~data:(data_of cfg.dconsts.(w))
-      ~enable
-  done;
-  let rds =
-    List.init cfg.rports (fun r ->
-        Hdl.read_port ctx mem ~addr:(addr_of cfg.rconsts.(r)) ~enable:Netlist.true_)
-  in
-  let acc = Hdl.reg ctx "acc" ~width:cfg.dw in
-  Hdl.connect ctx acc (List.fold_left (Hdl.xor_v ctx) acc rds);
-  let watched = if cfg.prop_on_acc then acc else List.hd rds in
-  Hdl.assert_always ctx "p" (Netlist.not_ (Hdl.eq_const ctx watched cfg.target));
-  Hdl.netlist ctx
+let build id = Diffgen.build (Diffgen.random_cfg id)
 
 let options = { Emmver.default_options with Emmver.max_depth = 8 }
 
@@ -271,7 +208,7 @@ let conclusion_signature o =
 let test_differential_fanout () =
   let ids = List.init 50 Fun.id in
   let verify_one id =
-    Emmver.verify ~options ~method_:Emmver.Emm_falsify (build (random_cfg id))
+    Emmver.verify ~options ~method_:Emmver.Emm_falsify (build id)
       ~property:"p"
   in
   let sequential = List.map (fun id -> conclusion_signature (verify_one id)) ids in
@@ -338,7 +275,7 @@ let test_traced_fanout () =
           ~f:(fun id ->
             conclusion_signature
               (Emmver.verify ~options ~method_:Emmver.Emm_falsify
-                 (build (random_cfg id)) ~property:"p"))
+                 (build id) ~property:"p"))
           (List.init 50 Fun.id))
   in
   List.iter (fun res -> ignore (ok_exn res)) results;

@@ -253,37 +253,135 @@ let test_backoff () =
   | None -> ()
   | Some _ -> Alcotest.fail "attempts = 0 retried"
 
+(* The property check shared by the daemon's submit and the CLI's -p. *)
+let test_select_properties () =
+  let net = Designs.Fifo.build Designs.Fifo.default_config in
+  let all = List.map fst (Netlist.properties net) in
+  let check = Alcotest.(check (result (list string) string)) in
+  check "named property" (Ok [ "fifo_data" ])
+    (Serve.select_properties net ~design:"fifo" (Some "fifo_data"));
+  check "no -p: every property" (Ok all)
+    (Serve.select_properties net ~design:"fifo" None);
+  check "unknown property names the design's"
+    (Error
+       (Printf.sprintf "design fifo has no property \"nosuch\"; its properties: %s"
+          (String.concat ", " all)))
+    (Serve.select_properties net ~design:"fifo" (Some "nosuch"));
+  let bare =
+    let ctx = Hdl.create () in
+    ignore (Hdl.reg ctx "r" ~width:1);
+    Hdl.netlist ctx
+  in
+  check "a design without properties" (Error "bare has no properties")
+    (Serve.select_properties bare ~design:"bare" None)
+
 (* {1 Journal unit tests} *)
 
-let jsub i =
+let jsubmit =
   {
-    Serve.Journal.a_job = i;
-    a_tenant = "t";
-    a_req = "req";
-    a_design = "fifo";
-    a_property = "fifo_data";
-    a_method = "emm";
-    a_max_depth = Some 5;
-    a_timeout_s = None;
-    a_cache = None;
+    Serve.Proto.s_id = "req";
+    s_design = "fifo";
+    s_property = Some "fifo_data";
+    s_method = "emm";
+    s_max_depth = Some 5;
+    s_timeout_s = None;
+    s_cache = None;
   }
 
-let jres i =
+let jline job =
   {
-    Serve.Journal.f_job = i;
-    f_tenant = "t";
-    f_req = "req";
-    f_property = "fifo_data";
-    f_method = "emm";
-    f_verdict = "proved";
-    f_depth = Some 1;
-    f_induction = Some false;
-    f_genuine = None;
-    f_reason = None;
-    f_time_s = 0.01;
-    f_cache = "off";
-    f_certificate = "unchecked";
+    Serve.Proto.r_job = job;
+    r_id = "req";
+    r_property = "fifo_data";
+    r_method = "emm";
+    r_verdict = "proved";
+    r_depth = Some 1;
+    r_induction = Some false;
+    r_genuine = None;
+    r_reason = None;
+    r_time_s = 0.01;
+    r_cache = "off";
+    r_certificate = "unchecked";
   }
+
+let jsub job = Serve.Journal.Accepted { job; tenant = "t"; submit = jsubmit }
+let jres job = Serve.Journal.Finished { tenant = "t"; line = jline job }
+
+(* Golden journal lines: every record kind, optional fields absent and
+   present, and a string that needs escaping (quote, backslash, control
+   character).  The journal format is an on-disk contract — a daemon must
+   replay its predecessor's file — so these bytes never change. *)
+let nasty = "q\"b\\s\001"
+
+let golden_journal =
+  let full =
+    {
+      jsubmit with
+      Serve.Proto.s_id = "r1";
+      s_timeout_s = Some 1.5;
+      s_cache = Some true;
+    }
+  in
+  let bare = { jsubmit with Serve.Proto.s_max_depth = None } in
+  let killed =
+    {
+      (jline 5) with
+      Serve.Proto.r_verdict = "inconclusive";
+      r_depth = None;
+      r_induction = None;
+      r_reason = Some ("worker killed: " ^ nasty);
+      r_time_s = 2.0;
+    }
+  in
+  let cex =
+    {
+      (jline 6) with
+      Serve.Proto.r_verdict = "falsified";
+      r_depth = Some 17;
+      r_induction = None;
+      r_genuine = Some true;
+      r_time_s = 0.125;
+      r_cache = "hit";
+      r_certificate = "trace-replayed";
+    }
+  in
+  [
+    ( Serve.Journal.Accepted { job = 3; tenant = nasty; submit = full },
+      {|004391339b1b1900b7374ca45814154e {"rec":"accepted","job":3,"tenant":"q\"b\\s\u0001","req":"r1","design":"fifo","property":"fifo_data","method":"emm","max_depth":5,"timeout_s":1.500,"cache":true}|}
+    );
+    ( Serve.Journal.Accepted { job = 4; tenant = "t"; submit = bare },
+      {|095e242d74249efb2c98dab9dfd37d6d {"rec":"accepted","job":4,"tenant":"t","req":"req","design":"fifo","property":"fifo_data","method":"emm"}|}
+    );
+    ( Serve.Journal.Started { job = 3; pid = 4242; token = "boot:77" },
+      {|516259ff7dd5b38883deb70315a04158 {"rec":"started","job":3,"pid":4242,"token":"boot:77"}|}
+    );
+    ( jres 3,
+      {|e1a5d59d75abdd970760b4c06cca525a {"rec":"result","job":3,"tenant":"t","req":"req","property":"fifo_data","method":"emm","verdict":"proved","depth":1,"induction":false,"time_s":0.010,"cache":"off","certificate":"unchecked"}|}
+    );
+    ( Serve.Journal.Finished { tenant = "t"; line = killed },
+      {|15b791ea8f3311c2ba761c18420e3c45 {"rec":"result","job":5,"tenant":"t","req":"req","property":"fifo_data","method":"emm","verdict":"inconclusive","reason":"worker killed: q\"b\\s\u0001","time_s":2.000,"cache":"off","certificate":"unchecked"}|}
+    );
+    ( Serve.Journal.Finished { tenant = "t"; line = cex },
+      {|7a269f798bbabd80b3fcafd6180abe4d {"rec":"result","job":6,"tenant":"t","req":"req","property":"fifo_data","method":"emm","verdict":"falsified","depth":17,"genuine":true,"time_s":0.125,"cache":"hit","certificate":"trace-replayed"}|}
+    );
+    ( Serve.Journal.Acked { job = 3 },
+      {|b05e1e87ca73d2702b4797c1c2787092 {"rec":"acked","job":3}|}
+    );
+    ( Serve.Journal.Cancelled { job = 4 },
+      {|bea4ee26c3ff3182fd8772229865a9a3 {"rec":"cancelled","job":4}|}
+    );
+  ]
+
+let test_journal_golden () =
+  List.iter
+    (fun (record, expected) ->
+      let line = Serve.Journal.line_of_record record in
+      Alcotest.(check string) expected (expected ^ "\n") line;
+      match Serve.Journal.parse_line expected with
+      | Ok back ->
+        Alcotest.(check bool) ("parses back: " ^ expected) true (back = record)
+      | Error e -> Alcotest.failf "cannot parse %s: %s" expected e)
+    golden_journal
 
 let test_journal_recovery () =
   let dir = tmpdir () in
@@ -292,25 +390,25 @@ let test_journal_recovery () =
   Alcotest.(check int) "fresh journal: nothing pending" 0 (List.length r0.Serve.Journal.pending);
   Alcotest.(check int) "fresh journal: job ids start at 1" 1 r0.Serve.Journal.next_job;
   (* Job 1 queued, job 2 mid-run, job 3 finished-not-acked, job 4 closed. *)
-  Serve.Journal.append j (Serve.Journal.Accepted (jsub 1));
-  Serve.Journal.append j (Serve.Journal.Accepted (jsub 2));
+  Serve.Journal.append j (jsub 1);
+  Serve.Journal.append j (jsub 2);
   Serve.Journal.append j
     (Serve.Journal.Started { job = 2; pid = 4242; token = "boot:77" });
-  Serve.Journal.append j (Serve.Journal.Accepted (jsub 3));
-  Serve.Journal.append j (Serve.Journal.Finished (jres 3));
-  Serve.Journal.append j (Serve.Journal.Accepted (jsub 4));
-  Serve.Journal.append j (Serve.Journal.Finished (jres 4));
+  Serve.Journal.append j (jsub 3);
+  Serve.Journal.append j (jres 3);
+  Serve.Journal.append j (jsub 4);
+  Serve.Journal.append j (jres 4);
   Serve.Journal.append j (Serve.Journal.Acked { job = 4 });
   Serve.Journal.sync j;
   Serve.Journal.close j;
   let j2, r = Serve.Journal.open_ path in
   Alcotest.(check (list int)) "unfinished jobs pending, in order" [ 1; 2 ]
-    (List.map (fun s -> s.Serve.Journal.a_job) r.Serve.Journal.pending);
+    (List.map (fun (job, _, _) -> job) r.Serve.Journal.pending);
   Alcotest.(check (list (triple int int string))) "mid-run job is an orphan"
     [ (2, 4242, "boot:77") ]
     r.Serve.Journal.orphans;
   Alcotest.(check (list int)) "finished-not-acked retained" [ 3 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (List.map (fun (_, l) -> l.Serve.Proto.r_job) r.Serve.Journal.undelivered);
   Alcotest.(check int) "next job id past everything" 5 r.Serve.Journal.next_job;
   Alcotest.(check int) "no corruption" 0 r.Serve.Journal.corrupt;
   (* open_ compacted: the acked job is gone from disk, the rest survives a
@@ -318,9 +416,9 @@ let test_journal_recovery () =
   Serve.Journal.close j2;
   let j3, r2 = Serve.Journal.open_ path in
   Alcotest.(check (list int)) "stable after compaction" [ 1; 2 ]
-    (List.map (fun s -> s.Serve.Journal.a_job) r2.Serve.Journal.pending);
+    (List.map (fun (job, _, _) -> job) r2.Serve.Journal.pending);
   Alcotest.(check (list int)) "undelivered survives compaction" [ 3 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r2.Serve.Journal.undelivered);
+    (List.map (fun (_, l) -> l.Serve.Proto.r_job) r2.Serve.Journal.undelivered);
   Serve.Journal.close j3
 
 (* Write a journal file by hand and damage it: a torn tail, a flipped
@@ -334,17 +432,17 @@ let test_journal_corruption () =
     List.iter (output_string oc) lines;
     close_out oc
   in
-  let l1 = Serve.Journal.line_of_record (Serve.Journal.Accepted (jsub 1)) in
-  let l2 = Serve.Journal.line_of_record (Serve.Journal.Accepted (jsub 2)) in
-  let l3 = Serve.Journal.line_of_record (Serve.Journal.Finished (jres 1)) in
+  let l1 = Serve.Journal.line_of_record (jsub 1) in
+  let l2 = Serve.Journal.line_of_record (jsub 2) in
+  let l3 = Serve.Journal.line_of_record (jres 1) in
   (* Torn tail: the last record was half-written when the power died. *)
   let torn = Filename.concat dir "torn" in
   write_file torn [ l1; l3; String.sub l2 0 (String.length l2 / 2) ];
   let j, r = Serve.Journal.open_ torn in
   Alcotest.(check (list int)) "torn tail: intact records survive" []
-    (List.map (fun s -> s.Serve.Journal.a_job) r.Serve.Journal.pending);
+    (List.map (fun (job, _, _) -> job) r.Serve.Journal.pending);
   Alcotest.(check (list int)) "torn tail: finished job retained" [ 1 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (List.map (fun (_, l) -> l.Serve.Proto.r_job) r.Serve.Journal.undelivered);
   Alcotest.(check int) "torn tail counted corrupt" 1 r.Serve.Journal.corrupt;
   Serve.Journal.close j;
   (* Flipped checksum: one record's checksum no longer matches its body —
@@ -358,9 +456,9 @@ let test_journal_corruption () =
   write_file flipped [ l1; flip l2; l3 ];
   let j, r = Serve.Journal.open_ flipped in
   Alcotest.(check (list int)) "flip: only the damaged record is lost" []
-    (List.map (fun s -> s.Serve.Journal.a_job) r.Serve.Journal.pending);
+    (List.map (fun (job, _, _) -> job) r.Serve.Journal.pending);
   Alcotest.(check (list int)) "flip: neighbours intact" [ 1 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (List.map (fun (_, l) -> l.Serve.Proto.r_job) r.Serve.Journal.undelivered);
   Alcotest.(check int) "flip counted corrupt" 1 r.Serve.Journal.corrupt;
   Serve.Journal.close j;
   (* Duplicated records: replay is idempotent — the same state as if each
@@ -369,9 +467,9 @@ let test_journal_corruption () =
   write_file dup [ l1; l1; l3; l3; l1 ];
   let j, r = Serve.Journal.open_ dup in
   Alcotest.(check (list int)) "dup: one pending set" []
-    (List.map (fun s -> s.Serve.Journal.a_job) r.Serve.Journal.pending);
+    (List.map (fun (job, _, _) -> job) r.Serve.Journal.pending);
   Alcotest.(check (list int)) "dup: one undelivered result" [ 1 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (List.map (fun (_, l) -> l.Serve.Proto.r_job) r.Serve.Journal.undelivered);
   Alcotest.(check int) "dup: nothing corrupt" 0 r.Serve.Journal.corrupt;
   Serve.Journal.close j;
   (* After the cleaning compaction in open_, a re-open sees no corruption
@@ -379,7 +477,7 @@ let test_journal_corruption () =
   let j, r = Serve.Journal.open_ torn in
   Alcotest.(check int) "compaction scrubbed the tail" 0 r.Serve.Journal.corrupt;
   Alcotest.(check (list int)) "state stable after scrub" [ 1 ]
-    (List.map (fun f -> f.Serve.Journal.f_job) r.Serve.Journal.undelivered);
+    (List.map (fun (_, l) -> l.Serve.Proto.r_job) r.Serve.Journal.undelivered);
   Serve.Journal.close j
 
 (* {1 Live-server harness} *)
@@ -1058,9 +1156,13 @@ let () =
             test_v1_compat;
           Alcotest.test_case "backoff delays are bounded and jittered" `Quick
             test_backoff;
+          Alcotest.test_case "property selection names the design's properties"
+            `Quick test_select_properties;
         ] );
       ( "journal",
         [
+          Alcotest.test_case "golden records, byte-for-byte" `Quick
+            test_journal_golden;
           Alcotest.test_case "replay projects pending/orphans/undelivered"
             `Quick test_journal_recovery;
           Alcotest.test_case "torn, flipped and duplicated records recover"
